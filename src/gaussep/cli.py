@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes for analyze: 0 separable (boundary counts as separable),
 1 entangled, 2 invalid or unsupported state, 3 malformed input.  Scheme
-conditioning failures in simulate surface as exit 4.
+failures in simulate (ill-conditioned settings, too few shots, a state
+method 2 cannot resolve) surface as exit 4.
 
 Output files land in --output-dir, defaulting to $GAUSSEP_OUTPUT_DIR or
 the working directory.  Identical configs and seeds reproduce estimate
@@ -30,10 +31,12 @@ import numpy as np
 from . import __version__
 from .core import GaussianState, Verdict, simon_criterion, validate
 from .exceptions import (
+    AmbiguousRootError,
     ConditioningError,
     GaussepError,
     InsufficientShotsError,
     InvalidStateError,
+    SimonTypeMismatchError,
 )
 from .io import load_state, reference_params_from_dict, state_from_spec
 from .locc import FiveGroupPlan, run_scheme, verdict_from_estimate
@@ -225,7 +228,8 @@ def cmd_simulate(args) -> int:
         record = run_experiment(config)
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(f"cannot read config: {exc}", 3)
-    except (ConditioningError, InsufficientShotsError) as exc:
+    except (ConditioningError, InsufficientShotsError, SimonTypeMismatchError,
+            AmbiguousRootError) as exc:
         return _fail(f"scheme failed: {exc}", 4)
     except GaussepError as exc:
         return _fail(str(exc), 3)

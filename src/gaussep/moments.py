@@ -19,6 +19,8 @@ constant, supplied by :func:`ordering_offset`.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .core import GaussianState, symplectic_form
@@ -105,8 +107,15 @@ def ordering_offset(poly: Poly, n_modes: int) -> float:
 
     Evaluated on the vacuum; for the observables built from the helpers
     above the operator-minus-symmetrized difference does not depend on the
-    state, which the test suite asserts on random states.
+    state, which the test suite asserts on random states.  Computed once
+    per (polynomial, mode count) and remembered.
     """
+    return _vacuum_offset(tuple(poly.items()), int(n_modes))
+
+
+@functools.cache
+def _vacuum_offset(terms: tuple, n_modes: int) -> float:
+    poly = dict(terms)
     vac = GaussianState(
         means=np.zeros(2 * n_modes), cov=0.5 * np.eye(2 * n_modes)
     )
@@ -117,13 +126,22 @@ def ordering_offset(poly: Poly, n_modes: int) -> float:
 
 
 def evaluate_on_samples(poly: Poly, samples: np.ndarray) -> np.ndarray:
-    """Per-row values of the polynomial on an (N, 2n) sample matrix."""
+    """Per-row values of the polynomial on an (N, 2n) sample matrix.
+
+    Each monomial is the left-to-right product of its columns times its
+    coefficient, accumulated in insertion order.
+    """
     out = np.zeros(samples.shape[0])
     for idx, coeff in poly.items():
         if abs(coeff.imag if isinstance(coeff, complex) else 0.0) > 0:
             raise ValueError("sampled evaluation requires real coefficients")
-        term = np.ones(samples.shape[0])
-        for i in idx:
-            term = term * samples[:, i]
-        out += float(np.real(coeff)) * term
+        coeff = float(np.real(coeff))
+        if len(idx) < 2:  # a constant or a linear term
+            out += coeff * samples[:, idx[0]] if idx else coeff
+            continue
+        term = samples[:, idx[0]] * samples[:, idx[1]]
+        for i in idx[2:]:
+            term *= samples[:, i]
+        term *= coeff
+        out += term
     return out

@@ -34,14 +34,22 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ShotBatch:
-    """Matrix of sampled phase-space points with provenance metadata."""
+    """Matrix of sampled phase-space points with provenance metadata.
+
+    A read-only, float64, 2-D matrix that owns its data (as
+    :func:`sample_wigner` makes) is kept as it is; anything else is copied
+    into one.
+    """
 
     samples: np.ndarray
     seed: int
     key: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", _as_readonly(np.atleast_2d(self.samples)))
+        s = self.samples
+        if not (isinstance(s, np.ndarray) and s.ndim == 2 and s.dtype == np.float64
+                and s.flags.owndata and not s.flags.writeable):
+            object.__setattr__(self, "samples", _as_readonly(np.atleast_2d(s)))
 
     @property
     def n_shots(self) -> int:
@@ -77,7 +85,10 @@ def sample_wigner(state: GaussianState, n_shots: int, seed: int, *key: int) -> S
     rng = derive_rng(seed, *key)
     root = _cov_sqrt(state.cov)
     z = rng.standard_normal(size=(n_shots, state.means.size))
-    return ShotBatch(samples=state.means + z @ root.T, seed=int(seed), key=tuple(key))
+    samples = z @ root.T
+    samples += state.means
+    samples.setflags(write=False)
+    return ShotBatch(samples=samples, seed=int(seed), key=tuple(key))
 
 
 def estimate_functional(batch: ShotBatch, f) -> MomentEstimate:

@@ -40,6 +40,7 @@ expectations.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -325,47 +326,41 @@ _S1_ARM_D: Poly = photon_number_difference(3, 1)
 # S3 = i(a6^dag a3 - a3^dag a6); a3 is output mode 0, a6 is output mode 3
 _S3: Poly = cross_phase(3, 0)
 
+# every readout is one quadratic factor or the operator product of two
+_FACTORS: dict[str, tuple[Poly, ...]] = {
+    "S1": (_S1_SINGLE,),
+    "S1sq": (_S1_SINGLE, _S1_SINGLE),
+    "S1sq_c": (_S1_ARM_C, _S1_ARM_C),
+    "S1sq_d": (_S1_ARM_D, _S1_ARM_D),
+    "S1xS1": (_S1_ARM_C, _S1_ARM_D),
+    "S3": (_S3,),
+}
+# expanded products, for exact expectations and ordering offsets
+_EXPANDED: dict[str, Poly] = {
+    name: functools.reduce(poly_product, factors) for name, factors in _FACTORS.items()
+}
+
 
 def _readout_programs(network, state: GaussianState):
-    """(readout id, output state, output polynomial) for every readout."""
+    """(readout id, output state) for every readout."""
     if isinstance(network, SingleModeNetwork):
         programs = []
         for phi in network.s1_phases:
-            out = _single_mode_output(network, state, phi)
-            programs.append((("S1", (phi,)), out, _S1_SINGLE))
+            programs.append((("S1", (phi,)), _single_mode_output(network, state, phi)))
         for phi in network.s1sq_phases:
-            out = _single_mode_output(network, state, phi)
-            programs.append((("S1sq", (phi,)), out, poly_product(_S1_SINGLE, _S1_SINGLE)))
+            programs.append((("S1sq", (phi,)), _single_mode_output(network, state, phi)))
         return programs
     if isinstance(network, TwoModeNetwork):
         require_two_modes(state)
         phi1 = network.phi1
         phi2a = network.phi2_values[0]
-        programs = [
-            (
-                ("S1sq_c", (phi1,)),
-                _two_mode_output(network, state, phi1, phi2a),
-                poly_product(_S1_ARM_C, _S1_ARM_C),
-            )
-        ]
+        first = _two_mode_output(network, state, phi1, phi2a)
+        programs = [(("S1sq_c", (phi1,)), first)]
         for phi2 in network.phi2_values:
-            programs.append(
-                (
-                    ("S1sq_d", (phi2,)),
-                    _two_mode_output(network, state, phi1, phi2),
-                    poly_product(_S1_ARM_D, _S1_ARM_D),
-                )
-            )
-        programs.append(
-            (
-                ("S1xS1", (phi1, phi2a)),
-                _two_mode_output(network, state, phi1, phi2a),
-                poly_product(_S1_ARM_C, _S1_ARM_D),
-            )
-        )
-        programs.append(
-            (("S3", (phi1, phi2a)), _two_mode_output(network, state, phi1, phi2a), _S3)
-        )
+            out = first if phi2 == phi2a else _two_mode_output(network, state, phi1, phi2)
+            programs.append((("S1sq_d", (phi2,)), out))
+        programs.append((("S1xS1", (phi1, phi2a)), first))
+        programs.append((("S3", (phi1, phi2a)), first))
         return programs
     raise InvalidStateError(f"unknown network type {type(network).__name__}")
 
@@ -377,9 +372,19 @@ def propagated_expectations(network, state: GaussianState) -> list[StokesReadout
     """
     require_valid(state)
     return [
-        StokesReadout(name, phases, _exact(real_expect_operator(poly, out)))
-        for (name, phases), out, poly in _readout_programs(network, state)
+        StokesReadout(name, phases, _exact(real_expect_operator(_EXPANDED[name], out)))
+        for (name, phases), out in _readout_programs(network, state)
     ]
+
+
+def _sampled_values(factors: tuple[Poly, ...], samples: np.ndarray) -> np.ndarray:
+    """Per-shot readout values: each distinct factor is evaluated once and
+    the factors are multiplied shot by shot, so S1^2 is (S1)^2."""
+    values = evaluate_on_samples(factors[0], samples)
+    if len(factors) == 2:
+        square = factors[1] is factors[0]
+        values *= values if square else evaluate_on_samples(factors[1], samples)
+    return values
 
 
 def sample_stokes(network, state: GaussianState, n_shots: int, seed: int,
@@ -388,12 +393,10 @@ def sample_stokes(network, state: GaussianState, n_shots: int, seed: int,
     commutator constants that make them unbiased operator estimates."""
     require_valid(state)
     readouts = []
-    for index, ((name, phases), out, poly) in enumerate(
-        _readout_programs(network, state)
-    ):
+    for index, ((name, phases), out) in enumerate(_readout_programs(network, state)):
         batch = sample_wigner(out, n_shots, seed, *key, index)
-        values = evaluate_on_samples(poly, batch.samples)
-        offset = ordering_offset(poly, out.n_modes)
+        values = _sampled_values(_FACTORS[name], batch.samples)
+        offset = ordering_offset(_EXPANDED[name], out.n_modes)
         std = float(np.std(values, ddof=1)) / math.sqrt(n_shots)
         readouts.append(
             StokesReadout(

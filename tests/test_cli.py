@@ -176,6 +176,23 @@ class TestSimulate:
         path.write_text("{oops")
         assert main(["simulate", "--config", str(path)]) == 3
 
+    def test_simon_type_mismatch_exit_four(self, tmp_path, capsys):
+        # a random state is not of Simon normal form, so method 2 finds no
+        # valid root: a scheme failure, not malformed input
+        cfg = tmp_path / "config.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "state": {"kind": "random", "params": {"seed": 3}},
+                    "scheme": "twocopy_m2",
+                    "shots": 2000,
+                    "seed": 0,
+                }
+            )
+        )
+        assert main(["simulate", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 4
+        assert "scheme failed" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_shots_axis(self, tmp_path, capsys):
