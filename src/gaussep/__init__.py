@@ -59,8 +59,6 @@ from .stokes import (
     full_pipeline,
     propagated_expectations,
     sample_stokes,
-    solve_c_block,
-    solve_single_mode,
 )
 from .transforms import (
     SymplecticTransform,

@@ -276,6 +276,38 @@ def simon_criterion(state: GaussianState, tol: float = VERDICT_TOL) -> Separabil
     )
 
 
+def margin_of(gamma: np.ndarray) -> float:
+    """det A + det B - 2 det C - 4 det(gamma) - 1/4 for a 4x4 matrix."""
+    a = np.linalg.det(gamma[:2, :2])
+    b = np.linalg.det(gamma[2:, 2:])
+    c = np.linalg.det(gamma[:2, 2:])
+    return float(a + b - 2.0 * c - 4.0 * np.linalg.det(gamma) - 0.25)
+
+
+# row and column indices of the 16 3x3 minors of a 4x4 matrix, and their signs
+_KEEP = np.array([[k for k in range(4) if k != i] for i in range(4)])
+_MINORS = (_KEEP[:, None, :, None], _KEEP[None, :, None, :])
+_SIGNS = (-1.0) ** np.add.outer(np.arange(4), np.arange(4))
+
+
+def _cofactors(m: np.ndarray) -> np.ndarray:
+    """adj(m)^T, the gradient of det m, for a 2x2 or 4x4 matrix; also
+    defined when m is singular."""
+    if len(m) == 2:
+        return np.array([[m[1, 1], -m[1, 0]], [-m[0, 1], m[0, 0]]])
+    return _SIGNS * np.linalg.det(m[_MINORS])
+
+
+def margin_gradient(gamma: np.ndarray) -> np.ndarray:
+    """Partial derivatives of :func:`margin_of` with respect to each of the
+    16 entries of ``gamma``, taken as independent."""
+    grad = -4.0 * _cofactors(gamma)
+    grad[:2, :2] += _cofactors(gamma[:2, :2])
+    grad[2:, 2:] += _cofactors(gamma[2:, 2:])
+    grad[:2, 2:] -= 2.0 * _cofactors(gamma[:2, 2:])
+    return grad
+
+
 def purity(state: GaussianState) -> float:
     """Tr rho^2 = 1 / (2^n sqrt(det cov)); equals 1 for pure states."""
     det_gamma = np.linalg.det(state.cov)

@@ -30,6 +30,7 @@ import numpy as np
 from .core import (
     GaussianState,
     SeparabilityReport,
+    margin_gradient,
     project_to_valid,
     require_two_modes,
     require_valid,
@@ -195,34 +196,18 @@ class EstimatedVerdict:
         return out
 
 
-def margin_of(gamma: np.ndarray) -> float:
-    """det A + det B - 2 det C - 4 det(gamma) - 1/4 for a 4x4 matrix."""
-    a = np.linalg.det(gamma[:2, :2])
-    b = np.linalg.det(gamma[2:, 2:])
-    c = np.linalg.det(gamma[:2, 2:])
-    return float(a + b - 2.0 * c - 4.0 * np.linalg.det(gamma) - 0.25)
-
-
 def margin_std_error(gamma: np.ndarray, gamma_se: np.ndarray) -> float:
     """First-order error of the criterion margin from per-entry errors.
 
-    Upper-triangle entries are treated as independent estimates; each
-    perturbation is applied symmetrically.
+    Upper-triangle entries are treated as independent estimates, each
+    perturbed symmetrically, so an off-diagonal entry's gradient is the sum
+    over its two mirrored positions.  Entries whose error is zero or NaN
+    are skipped.
     """
-    base = margin_of(gamma)
-    var = 0.0
-    for i in range(4):
-        for j in range(i, 4):
-            se = gamma_se[i, j]
-            if se == 0.0 or np.isnan(se):
-                continue
-            h = max(1e-7, 1e-7 * abs(gamma[i, j]))
-            bumped = gamma.copy()
-            bumped[i, j] += h
-            bumped[j, i] = bumped[i, j]
-            grad = (margin_of(bumped) - base) / h
-            var += (grad * se) ** 2
-    return float(np.sqrt(var))
+    grad = margin_gradient(gamma)
+    grad = np.triu(grad + grad.T) - np.diag(np.diag(grad))
+    se = np.triu(np.where(np.isnan(gamma_se), 0.0, gamma_se))
+    return float(np.sqrt(np.sum((grad * se) ** 2)))
 
 
 def verdict_from_estimate(estimate: CovarianceEstimate) -> EstimatedVerdict:

@@ -7,9 +7,9 @@ beam splitter.  The photon-number difference of the outputs is
     S1(phi) = q_k q_r^phi + p_k p_r^phi,
     q_r^phi = q_r cos(phi) - p_r sin(phi),   p_r^phi = q_r sin(phi) + p_r cos(phi).
 
-With known reference moments, <S1> at two phases is a linear system for
-<q_k>, <p_k>, and <S1^2> at three phases is a linear system for <q_k^2>,
-<p_k^2>, <{q_k, p_k}>/2:
+With known reference moments, <S1> at two phases is linear in <q_k>,
+<p_k>, and <S1^2> at three phases is linear in <q_k^2>, <p_k^2>,
+<{q_k, p_k}>/2:
 
     <S1^2(phi)> = <q_k^2> <(q_r^phi)^2> + <p_k^2> <(p_r^phi)^2>
                   + 2 sigma_k sigma_r^phi - 1/2,
@@ -26,9 +26,14 @@ moments), the product S1 (x) S1, and the cross-output anticoincidence
     S3(phi1, phi2) = i(a6^dag a3 - a3^dag a6),
 
 whose expectation contains (<q1 p2> - <p1 q2>)/2.  Together with the
-already-estimated single-mode moments these five readouts determine all
-four entries of the cross block C, hence the full covariance matrix (this
-path amounts to full state tomography).
+single-mode readouts these determine all four entries of the cross block
+C, hence the full covariance matrix (this path amounts to full state
+tomography).
+
+Every readout is affine in theta, the 4 means and the 10 raw second
+moments <{x_i, x_j}>/2 of the signal: readouts = design @ theta + offset.
+A :class:`StokesConfig` solves 14 of its 15 rows with one inverse, and its
+standard errors are exact first-order propagations of readout errors.
 
 The sampled backend propagates signal and references through the network
 symplectics, draws Wigner samples of the output state, averages the same
@@ -39,7 +44,6 @@ expectations.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -49,6 +53,7 @@ import numpy as np
 from .core import (
     GaussianState,
     SeparabilityReport,
+    margin_gradient,
     partial_trace,
     project_to_valid,
     require_two_modes,
@@ -57,7 +62,6 @@ from .core import (
     tensor_product,
 )
 from .exceptions import ConditioningError, InvalidStateError
-from .locc import margin_of
 from .moments import (
     Poly,
     cross_phase,
@@ -141,14 +145,6 @@ class SingleModeMoments:
             sigma=float(state.cov[i, j] + state.means[i] * state.means[j]),
         )
 
-    def variances(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.q2 - self.q**2, self.sigma - self.q * self.p],
-                [self.sigma - self.q * self.p, self.p2 - self.p**2],
-            ]
-        )
-
 
 @dataclass(frozen=True)
 class TwoModeCrossMoments:
@@ -224,74 +220,51 @@ def s3_expectation(m1, m2, cross, rc: ReferenceMoments, rd: ReferenceMoments,
     return mean_part + 0.5 * (cross.q1p2 - cross.p1q2) + ref_part
 
 
-def _cross_from_state(state: GaussianState) -> TwoModeCrossMoments:
-    c = state.cov
-    d = state.means
-    return TwoModeCrossMoments(
-        q1q2=float(c[0, 2] + d[0] * d[2]),
-        p1p2=float(c[1, 3] + d[1] * d[3]),
-        q1p2=float(c[0, 3] + d[0] * d[3]),
-        p1q2=float(c[1, 2] + d[1] * d[2]),
-    )
-
-
 def _exact(value: float) -> MomentEstimate:
     return MomentEstimate(value=float(value), std_error=0.0, n_shots=0)
 
 
-def expect_stokes(network, state: GaussianState) -> list[StokesReadout]:
-    """Exact readout expectations from signal moments and reference moments."""
-    require_valid(state)
+def _closed_forms(network, sig, cross) -> list[tuple[str, tuple, float]]:
+    """(observable, phases, expectation) of every readout of ``network``,
+    from the moments ``sig[k]`` of signal mode k and the cross moments."""
     if isinstance(network, SingleModeNetwork):
-        sig = SingleModeMoments.from_state(state, network.mode)
+        m = sig[network.mode]
         ref = reference_moments(network.reference)
-        out = [
-            StokesReadout("S1", (phi,), _exact(s1_expectation(sig, ref, phi)))
-            for phi in network.s1_phases
-        ]
-        out += [
-            StokesReadout("S1sq", (phi,), _exact(s1sq_expectation(sig, ref, phi)))
-            for phi in network.s1sq_phases
-        ]
+        out = [("S1", (phi,), s1_expectation(m, ref, phi)) for phi in network.s1_phases]
+        out += [("S1sq", (phi,), s1sq_expectation(m, ref, phi)) for phi in network.s1sq_phases]
         return out
     if isinstance(network, TwoModeNetwork):
-        require_two_modes(state)
-        m1 = SingleModeMoments.from_state(state, 0)
-        m2 = SingleModeMoments.from_state(state, 1)
-        cross = _cross_from_state(state)
+        m1, m2 = sig
         rc = reference_moments(network.ref_c)
         rd = reference_moments(network.ref_d)
         phi1 = network.phi1
         phi2a = network.phi2_values[0]
         minus_arm = _arm_moments(m1, m2, cross, -1)
         plus_arm = _arm_moments(m1, m2, cross, +1)
-        out = [
-            StokesReadout(
-                "S1sq_c", (phi1,), _exact(s1sq_expectation(minus_arm, rc, phi1))
-            )
-        ]
+        out = [("S1sq_c", (phi1,), s1sq_expectation(minus_arm, rc, phi1))]
         out += [
-            StokesReadout(
-                "S1sq_d", (phi2,), _exact(s1sq_expectation(plus_arm, rd, phi2))
-            )
+            ("S1sq_d", (phi2,), s1sq_expectation(plus_arm, rd, phi2))
             for phi2 in network.phi2_values
         ]
         out.append(
-            StokesReadout(
-                "S1xS1",
-                (phi1, phi2a),
-                _exact(s1xs1_expectation(m1, m2, cross, rc, rd, phi1, phi2a)),
-            )
+            ("S1xS1", (phi1, phi2a), s1xs1_expectation(m1, m2, cross, rc, rd, phi1, phi2a))
         )
-        out.append(
-            StokesReadout(
-                "S3",
-                (phi1, phi2a),
-                _exact(s3_expectation(m1, m2, cross, rc, rd, phi1, phi2a)),
-            )
-        )
+        out.append(("S3", (phi1, phi2a), s3_expectation(m1, m2, cross, rc, rd, phi1, phi2a)))
         return out
     raise InvalidStateError(f"unknown network type {type(network).__name__}")
+
+
+def expect_stokes(network, state: GaussianState) -> list[StokesReadout]:
+    """Exact readout expectations from signal moments and reference moments."""
+    require_valid(state)
+    if isinstance(network, TwoModeNetwork):
+        require_two_modes(state)
+    raw = state.cov + np.outer(state.means, state.means)
+    sig, cross = _moment_objects(state.means.tolist(), raw.tolist())
+    return [
+        StokesReadout(name, phases, _exact(value))
+        for name, phases, value in _closed_forms(network, sig, cross)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +386,63 @@ def sample_stokes(network, state: GaussianState, n_shots: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# linear-system solvers
+# the affine design: readouts = design @ theta + offset
 # ---------------------------------------------------------------------------
 
-def _readout_map(readouts) -> dict:
-    return {(r.observable, r.phases): r for r in readouts}
+# theta holds the means (q1, p1, q2, p2), then the raw second moments
+# <{x_i, x_j}>/2 for i <= j in row-major order
+_UPPER = np.triu_indices(4)
+_N_THETA = 4 + len(_UPPER[0])
+_COL = {(int(i), int(j)): 4 + k for k, (i, j) in enumerate(zip(*_UPPER))}
+
+
+def _unpack(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means and symmetric raw second-moment matrix of theta; leading axes
+    of a stack of theta vectors are kept."""
+    raw = np.zeros(theta.shape[:-1] + (4, 4))
+    raw[..., _UPPER[0], _UPPER[1]] = theta[..., 4:]
+    raw[..., _UPPER[1], _UPPER[0]] = theta[..., 4:]
+    return theta[..., :4], raw
+
+
+def moment_vector(state: GaussianState) -> np.ndarray:
+    """theta of a two-mode state: its means and raw second moments."""
+    require_two_modes(state)
+    raw = state.cov + np.outer(state.means, state.means)
+    return np.concatenate([state.means, raw[_UPPER]])
+
+
+def _moment_objects(means: list, raw: list):
+    """Moments of each mode and, for two modes, the cross moments, from the
+    means and the raw second-moment matrix as nested lists; physical or not."""
+    sig = [
+        SingleModeMoments(q=means[i], p=means[i + 1], q2=raw[i][i], p2=raw[i + 1][i + 1],
+                          sigma=raw[i][i + 1])
+        for i in range(0, len(means), 2)
+    ]
+    if len(means) != 4:
+        return sig, None
+    return sig, TwoModeCrossMoments(q1q2=raw[0][2], p1p2=raw[1][3], q1p2=raw[0][3],
+                                    p1q2=raw[1][2])
+
+
+@functools.lru_cache(maxsize=256)
+def network_design(network) -> tuple[np.ndarray, np.ndarray]:
+    """(design, offset): the readouts of ``network``, in :func:`expect_stokes`
+    order, are exactly ``design @ theta + offset`` for the signal's theta.
+
+    The closed forms are affine in theta, so the offset is their value at
+    theta = 0 and column j is their value at the j-th unit vector minus it.
+    """
+    def readouts(theta):
+        moments = _moment_objects(*(part.tolist() for part in _unpack(theta)))
+        return np.array([value for _, _, value in _closed_forms(network, *moments)])
+
+    offset = readouts(np.zeros(_N_THETA))
+    design = np.column_stack([readouts(unit) - offset for unit in np.eye(_N_THETA)])
+    for array in (design, offset):
+        array.setflags(write=False)
+    return design, offset
 
 
 def _require_sigma_free(ref: ReferenceMoments, which: str) -> None:
@@ -430,145 +455,11 @@ def _require_sigma_free(ref: ReferenceMoments, which: str) -> None:
         )
 
 
-def solve_single_mode(readouts, ref: ReferenceMoments) -> SingleModeMoments:
-    """Recover (<q>, <p>, <q^2>, <p^2>, <{q,p}>/2) of the signal mode.
-
-    Means solve the 2x2 system from <S1> at two phases; the second moments
-    and the symmetrized term solve the 3x3 system from <S1^2> at three
-    phases.  Exact on analytic readouts.
-    """
-    _require_sigma_free(ref, "r")
-    table = _readout_map(readouts)
-    s1 = sorted((k[1][0], v) for k, v in table.items() if k[0] == "S1")
-    s1sq = sorted((k[1][0], v) for k, v in table.items() if k[0] == "S1sq")
-    if len(s1) != 2 or len(s1sq) != 3:
-        raise InvalidStateError(
-            f"need S1 at 2 phases and S1sq at 3 phases, got {len(s1)} and {len(s1sq)}"
-        )
-    mean_rows = np.array([_rotated_first(ref, phi) for phi, _ in s1])
-    mean_rhs = np.array([r.value.value for _, r in s1])
-    det = np.linalg.det(mean_rows)
-    if abs(det) < _COND_TOL * max(1.0, np.abs(mean_rows).max() ** 2):
-        raise ConditioningError(
-            "the <S1> system is singular: reference first moments vanish "
-            f"(d = 0) or the S1 phases are degenerate (det = {det:.3e}); "
-            "increase the displacement d of the reference"
-        )
-    q_mean, p_mean = np.linalg.solve(mean_rows, mean_rhs)
-    rows = []
-    rhs = []
-    for phi, readout in s1sq:
-        q2f, p2f, sigf = _rotated_second(ref, phi)
-        rows.append([q2f, p2f, 2.0 * sigf])
-        rhs.append(readout.value.value + 0.5)
-    rows = np.array(rows)
-    det = np.linalg.det(rows)
-    if abs(det) < _COND_TOL * max(1.0, np.abs(rows).max() ** 3):
-        raise ConditioningError(
-            "the <S1^2> system is singular: the reference is phase-symmetric "
-            "(<q_r^2> = <p_r^2>) or the phases are degenerate "
-            f"(det = {det:.3e}); increase theta or d of the reference"
-        )
-    q2, p2, sigma = np.linalg.solve(rows, np.array(rhs))
-    return SingleModeMoments(q=float(q_mean), p=float(p_mean), q2=float(q2),
-                             p2=float(p2), sigma=float(sigma))
-
-
-def solve_c_block(readouts, m1: SingleModeMoments, m2: SingleModeMoments,
-                  rc: ReferenceMoments, rd: ReferenceMoments,
-                  phi1: float, phi2_values) -> tuple[TwoModeCrossMoments, np.ndarray]:
-    """Recover the cross block C from the two-mode readouts.
-
-    Rows of the linear system act on the unknowns
-    (q1 q2, p1 p2, q1 p2, p1 q2):
-
-    * <S1^2> on the difference arm (reference c) and on the sum arm
-      (reference d) at the configured phases;
-    * <S1 (x) S1>, whose cross-moment coefficient is
-      K/2 = (<q_c^phi1><p_d^phi2> - <p_c^phi1><q_d^phi2>)/2, or <S3> when
-      K vanishes (references with aligned or zero first moments).
-
-    Returns the uncentered cross moments and the covariance block
-    C = cross moments minus mean products.
-    """
-    _require_sigma_free(rc, "c")
-    _require_sigma_free(rd, "d")
-    table = _readout_map(readouts)
-    phi2a = phi2_values[0]
-
-    rows, rhs, used = [], [], []
-
-    def arm_equation(ref, phi, sign):
-        q2f, p2f, sigf = _rotated_second(ref, phi)
-        row = [sign * q2f, sign * p2f, sign * sigf, sign * sigf]
-        const = (
-            0.5 * (m1.q2 + m2.q2) * q2f
-            + 0.5 * (m1.p2 + m2.p2) * p2f
-            + (m1.sigma + m2.sigma) * sigf
-            - 0.5
-        )
-        return row, const
-
-    key = ("S1sq_c", (phi1,))
-    row, const = arm_equation(rc, phi1, -1)
-    rows.append(row)
-    rhs.append(table[key].value.value - const)
-    used.append(key)
-    for phi2 in phi2_values:
-        key = ("S1sq_d", (phi2,))
-        row, const = arm_equation(rd, phi2, +1)
-        rows.append(row)
-        rhs.append(table[key].value.value - const)
-        used.append(key)
-
-    rcq, rcp = _rotated_first(rc, phi1)
-    rdq, rdp = _rotated_first(rd, phi2a)
-    coupling = rcq * rdp - rcp * rdq
-    if abs(coupling) > _FALLBACK_TOL:
-        key = ("S1xS1", (phi1, phi2a))
-        const = (
-            0.5 * (m1.q2 - m2.q2) * rcq * rdq
-            + 0.5 * (m1.p2 - m2.p2) * rcp * rdp
-            + 0.5 * (m1.sigma - m2.sigma) * (rcq * rdp + rcp * rdq)
-        )
-        rows.append([0.0, 0.0, 0.5 * coupling, -0.5 * coupling])
-    else:
-        key = ("S3", (phi1, phi2a))
-        mean_part = (
-            (m1.q - m2.q) * rdp
-            + (m1.q + m2.q) * rcp
-            - (m1.p - m2.p) * rdq
-            - (m1.p + m2.p) * rcq
-        ) / (2.0 * math.sqrt(2))
-        ref_part = 0.5 * (
-            (rc.q_mean * rd.q_mean + rc.p_mean * rd.p_mean) * math.sin(phi1 - phi2a)
-            + (rd.q_mean * rc.p_mean - rc.q_mean * rd.p_mean) * math.cos(phi1 - phi2a)
-        )
-        const = mean_part + ref_part
-        rows.append([0.0, 0.0, 0.5, -0.5])
-    rhs.append(table[key].value.value - const)
-    used.append(key)
-
-    matrix = np.array(rows)
-    det = np.linalg.det(matrix)
-    if abs(det) < _COND_TOL * max(1.0, np.abs(matrix).max() ** 4):
-        raise ConditioningError(
-            "the C-block system is singular (det = "
-            f"{det:.3e}) for equations {used}; references c and d have "
-            "proportional second moments or degenerate phase settings; "
-            "change theta or d of one reference, or use distinct phi2 values"
-        )
-    q1q2, p1p2, q1p2, p1q2 = np.linalg.solve(matrix, np.array(rhs))
-    cross = TwoModeCrossMoments(
-        q1q2=float(q1q2), p1p2=float(p1p2), q1p2=float(q1p2), p1q2=float(p1q2)
-    )
-    c_block = np.array(
-        [
-            [cross.q1q2 - m1.q * m2.q, cross.q1p2 - m1.q * m2.p],
-            [cross.p1q2 - m1.p * m2.q, cross.p1p2 - m1.p * m2.p],
-        ]
-    )
-    return cross, c_block
+def _require_regular(block: np.ndarray, problem: str) -> None:
+    """Raise ``problem`` (formatted with the determinant) for a singular block."""
+    det = np.linalg.det(block)
+    if abs(det) < _COND_TOL * max(1.0, np.abs(block).max() ** len(block)):
+        raise ConditioningError(problem.format(det=det))
 
 
 # ---------------------------------------------------------------------------
@@ -585,12 +476,88 @@ class StokesConfig:
     phi1: float = 0.0
     phi2_values: tuple = (0.0, math.pi / 4)
 
+    def __post_init__(self):
+        for name, count in (("s1_phases", 2), ("s1sq_phases", 3), ("phi2_values", 2)):
+            phases = tuple(getattr(self, name))
+            if len(phases) != count:
+                raise InvalidStateError(
+                    f"{name} needs exactly {count} phases, got {len(phases)}"
+                )
+            object.__setattr__(self, name, phases)
+
     def networks(self):
         return (
             SingleModeNetwork(0, self.ref_single, self.s1_phases, self.s1sq_phases),
             SingleModeNetwork(1, self.ref_single, self.s1_phases, self.s1sq_phases),
             TwoModeNetwork(self.ref_c, self.ref_d, self.phi1, self.phi2_values),
         )
+
+
+@functools.lru_cache(maxsize=64)
+def _config_solver(config: StokesConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, solver, offset) with theta = solver @ (readouts[rows] - offset).
+
+    The 14 rows are block triangular in (means, single-mode second
+    moments, cross moments); each diagonal block is checked before the
+    system is inverted.
+    """
+    designs = [network_design(net) for net in config.networks()]
+    design = np.vstack([d for d, _ in designs])
+    offset = np.concatenate([o for _, o in designs])
+    _require_sigma_free(reference_moments(config.ref_single), "r")
+    for mode in (0, 1):
+        i, j, first = 2 * mode, 2 * mode + 1, 5 * mode
+        _require_regular(
+            design[first : first + 2, [i, j]],
+            "the <S1> system is singular: reference first moments vanish "
+            "(d = 0) or the S1 phases are degenerate (det = {det:.3e}); "
+            "increase the displacement d of the reference",
+        )
+        _require_regular(
+            design[first + 2 : first + 5, [_COL[i, i], _COL[j, j], _COL[i, j]]],
+            "the <S1^2> system is singular: the reference is phase-symmetric "
+            "(<q_r^2> = <p_r^2>) or the phases are degenerate "
+            "(det = {det:.3e}); increase theta or d of the reference",
+        )
+    rc, rd = reference_moments(config.ref_c), reference_moments(config.ref_d)
+    _require_sigma_free(rc, "c")
+    _require_sigma_free(rd, "d")
+    # S1 (x) S1 carries the cross moments with coefficient K/2,
+    # K = <q_c^phi1><p_d^phi2> - <p_c^phi1><q_d^phi2>; S3 replaces it when K vanishes
+    rcq, rcp = _rotated_first(rc, config.phi1)
+    rdq, rdp = _rotated_first(rd, config.phi2_values[0])
+    coupled = abs(rcq * rdp - rcp * rdq) > _FALLBACK_TOL
+    rows = np.delete(np.arange(15), 14 if coupled else 13)
+    _require_regular(
+        design[rows[10:]][:, [_COL[0, 2], _COL[1, 3], _COL[0, 3], _COL[1, 2]]],
+        "the C-block system is singular (det = {det:.3e}) for the S1sq_c, "
+        f"S1sq_d and {'S1xS1' if coupled else 'S3'} equations; references c "
+        "and d have proportional second moments or degenerate phase "
+        "settings; change theta or d of one reference, or use distinct phi2 values",
+    )
+    solver, offset = np.linalg.inv(design[rows]), offset[rows]
+    for array in (rows, solver, offset):
+        array.setflags(write=False)
+    return rows, solver, offset
+
+
+def reconstruct(values, errors, config: StokesConfig | None = None):
+    """Means, covariance matrix, its per-entry standard errors and the
+    margin standard error from the 15 readouts of ``config.networks()``.
+
+    Readouts are independent, so each error is the root sum of squares of
+    one exact first-order term per readout.
+    """
+    rows, solver, offset = _config_solver(config or StokesConfig())
+    theta = solver @ (np.asarray(values, dtype=float)[rows] - offset)
+    means, raw = _unpack(theta)
+    gamma = raw - np.outer(means, means)
+    # change of theta, then of gamma, per one standard error of each readout
+    d_means, d_raw = _unpack((solver * np.asarray(errors, dtype=float)[rows]).T)
+    d_gamma = d_raw - d_means[:, :, None] * means - means[:, None] * d_means[:, None, :]
+    d_margin = np.sum(d_gamma * margin_gradient(gamma), axis=(1, 2))
+    gamma_se = np.sqrt(np.sum(d_gamma**2, axis=0))
+    return means, gamma, gamma_se, float(np.sqrt(np.sum(d_margin**2)))
 
 
 @dataclass(frozen=True)
@@ -621,55 +588,6 @@ class StokesPipelineResult:
         return out
 
 
-class _ReadoutVector:
-    """Ordered readout values keyed by (scope, observable, phases)."""
-
-    def __init__(self):
-        self.keys: list = []
-        self.values: list = []
-        self.errors: list = []
-
-    def extend(self, scope: int, readouts):
-        for r in readouts:
-            self.keys.append((scope, r.observable, r.phases))
-            self.values.append(r.value.value)
-            self.errors.append(r.value.std_error)
-
-    def as_map(self, values) -> dict:
-        return dict(zip(self.keys, values))
-
-    def keys_for_scope(self, scope: int):
-        return [k for k in self.keys if k[0] == scope]
-
-
-def _build_gamma(vector: _ReadoutVector, values, config: StokesConfig):
-    table = vector.as_map(values)
-    ref_single = reference_moments(config.ref_single)
-    rc = reference_moments(config.ref_c)
-    rd = reference_moments(config.ref_d)
-    per_mode = []
-    for mode in (0, 1):
-        mode_readouts = [
-            StokesReadout(obs, phases, _exact(table[(scope, obs, phases)]))
-            for (scope, obs, phases) in vector.keys_for_scope(mode)
-        ]
-        per_mode.append(solve_single_mode(mode_readouts, ref_single))
-    two_readouts = [
-        StokesReadout(obs, phases, _exact(table[(scope, obs, phases)]))
-        for (scope, obs, phases) in vector.keys_for_scope(2)
-    ]
-    _, c_block = solve_c_block(
-        two_readouts, per_mode[0], per_mode[1], rc, rd, config.phi1, config.phi2_values
-    )
-    gamma = np.zeros((4, 4))
-    gamma[:2, :2] = per_mode[0].variances()
-    gamma[2:, 2:] = per_mode[1].variances()
-    gamma[:2, 2:] = c_block
-    gamma[2:, :2] = c_block.T
-    means = np.array([per_mode[0].q, per_mode[0].p, per_mode[1].q, per_mode[1].p])
-    return gamma, means
-
-
 def full_pipeline(state: GaussianState, config: StokesConfig | None = None,
                   n_shots: int | None = None, seed: int = 0) -> StokesPipelineResult:
     """Reconstruct the covariance matrix and decide separability.
@@ -677,68 +595,26 @@ def full_pipeline(state: GaussianState, config: StokesConfig | None = None,
     Analytic backend when ``n_shots`` is None, otherwise every readout is
     estimated from ``n_shots`` Wigner samples on its own deterministic
     substream.  Per-entry and margin standard errors are propagated
-    linearly through the solvers.
+    linearly through the reconstruction.
     """
     require_two_modes(state)
     config = config or StokesConfig()
-    net0, net1, net2 = config.networks()
-    vector = _ReadoutVector()
-    if n_shots is None:
-        vector.extend(0, expect_stokes(net0, state))
-        vector.extend(1, expect_stokes(net1, state))
-        vector.extend(2, expect_stokes(net2, state))
-    else:
-        vector.extend(0, sample_stokes(net0, state, n_shots, seed, 0))
-        vector.extend(1, sample_stokes(net1, state, n_shots, seed, 1))
-        vector.extend(2, sample_stokes(net2, state, n_shots, seed, 2))
-
-    values = np.array(vector.values)
-    errors = np.array(vector.errors)
-    gamma, means = _build_gamma(vector, values, config)
-
-    gamma_var = np.zeros((4, 4))
-    margin_var = 0.0
-    if np.any(errors > 0):
-        base_margin = margin_of(gamma)
-        for i, err in enumerate(errors):
-            if err == 0.0:
-                continue
-            h = max(1e-7, 1e-7 * abs(values[i]))
-            bumped = values.copy()
-            bumped[i] += h
-            gamma_b, _ = _build_gamma(vector, bumped, config)
-            gamma_var += ((gamma_b - gamma) / h * err) ** 2
-            margin_var += ((margin_of(gamma_b) - base_margin) / h * err) ** 2
-
-    raw = GaussianState(means=means, cov=gamma)
-    projected, eps = project_to_valid(raw)
-    report = simon_criterion(projected)
-    readouts = tuple(
-        StokesReadout(obs, phases, MomentEstimate(v, e, n_shots or 0))
-        for (scope, obs, phases), v, e in zip(vector.keys, values, errors)
+    readouts = []
+    for scope, network in enumerate(config.networks()):
+        if n_shots is None:
+            readouts += expect_stokes(network, state)
+        else:
+            readouts += sample_stokes(network, state, n_shots, seed, scope)
+    means, gamma, gamma_se, margin_se = reconstruct(
+        [r.value.value for r in readouts], [r.value.std_error for r in readouts], config
     )
+    projected, eps = project_to_valid(GaussianState(means=means, cov=gamma))
     return StokesPipelineResult(
         gamma_hat=gamma,
         means_hat=means,
-        gamma_se=np.sqrt(gamma_var),
-        report=report,
-        margin_std_error=float(math.sqrt(margin_var)),
+        gamma_se=gamma_se,
+        report=simon_criterion(projected),
+        margin_std_error=margin_se,
         projection_epsilon=eps,
-        readouts=readouts,
+        readouts=tuple(readouts),
     )
-
-
-def readouts_to_csv(readouts, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["observable", "phases", "value", "std_error", "n_shots"])
-        for r in readouts:
-            writer.writerow(
-                [
-                    r.observable,
-                    ";".join(f"{p:.12g}" for p in r.phases),
-                    repr(r.value.value),
-                    repr(r.value.std_error),
-                    r.value.n_shots,
-                ]
-            )

@@ -93,10 +93,6 @@ def embed(transform: SymplecticTransform, n_modes: int, modes) -> SymplecticTran
     return SymplecticTransform(matrix=S, shift=shift)
 
 
-def identity(n_modes: int) -> SymplecticTransform:
-    return SymplecticTransform(matrix=np.eye(2 * n_modes))
-
-
 def phase_shifter(phi: float) -> SymplecticTransform:
     c, s = np.cos(phi), np.sin(phi)
     return SymplecticTransform(matrix=np.array([[c, -s], [s, c]]))

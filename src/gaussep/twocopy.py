@@ -61,8 +61,8 @@ from .moments import (
     real_expect_operator,
 )
 from .sampling import derive_rng, sample_wigner
-from .states import ReferenceStateParams, reference_moments
-from .stokes import SingleModeNetwork, sample_stokes
+from .states import ReferenceStateParams
+from .stokes import SingleModeNetwork, network_design, sample_stokes
 from .transforms import apply_transform, embed, opa, rotation_theta, SymplecticTransform
 
 _ROOT_TOL = 1e-9
@@ -394,30 +394,21 @@ _OPA_POLYS = (
 def _estimate_means_stokes(state, n_shots, seed, ref):
     """Interferometric mean estimation for the displacement pre-step.
 
-    Samples only the two <S1> readouts per mode and solves the 2x2 linear
-    system for (<q>, <p>); 4 n_shots copies in total."""
-    moments = reference_moments(ref)
+    Samples only the two <S1> readouts per mode and solves their 2x2 rows
+    of the Stokes design for (<q>, <p>); 4 n_shots copies in total."""
     means = np.zeros(4)
     for mode in (0, 1):
         net = SingleModeNetwork(mode=mode, reference=ref, s1sq_phases=())
-        readouts = sample_stokes(net, state, n_shots, seed, 10 + mode)
-        rows, rhs = [], []
-        for r in readouts:
-            phi = r.phases[0]
-            rows.append(
-                [
-                    moments.q_mean * math.cos(phi) - moments.p_mean * math.sin(phi),
-                    moments.q_mean * math.sin(phi) + moments.p_mean * math.cos(phi),
-                ]
-            )
-            rhs.append(r.value.value)
-        matrix = np.array(rows)
+        design, offset = network_design(net)
+        matrix = design[:, 2 * mode : 2 * mode + 2]
         if abs(np.linalg.det(matrix)) < 1e-10:
             raise ConditioningError(
                 "mean-estimation system singular; the displacement pre-step "
                 "needs a reference with nonzero d"
             )
-        means[2 * mode : 2 * mode + 2] = np.linalg.solve(matrix, np.array(rhs))
+        readouts = sample_stokes(net, state, n_shots, seed, 10 + mode)
+        rhs = np.array([r.value.value for r in readouts]) - offset
+        means[2 * mode : 2 * mode + 2] = np.linalg.solve(matrix, rhs)
     return means
 
 

@@ -176,6 +176,23 @@ class TestSimulate:
         path.write_text("{oops")
         assert main(["simulate", "--config", str(path)]) == 3
 
+    @pytest.mark.parametrize("phases", [[0, 0.3, 0.7], [0.5], []])
+    def test_bad_phase_count_exit_three(self, tmp_path, capsys, phases):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "state": {"kind": "tmsv", "params": {"r": 0.5}},
+                    "scheme": "stokes",
+                    "shots": 2000,
+                    "seed": 0,
+                    "scheme_params": {"phi2_values": phases},
+                }
+            )
+        )
+        assert main(["simulate", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 3
+        assert "phi2_values" in capsys.readouterr().err
+
     def test_simon_type_mismatch_exit_four(self, tmp_path, capsys):
         # a random state is not of Simon normal form, so method 2 finds no
         # valid root: a scheme failure, not malformed input

@@ -25,6 +25,7 @@ from gaussep import (
     validate,
     wigner_pdf,
 )
+from gaussep.core import margin_gradient, margin_of
 from conftest import random_local_symplectic
 
 
@@ -249,3 +250,20 @@ class TestComposition:
         assert validate(fixed)
         untouched, eps0 = project_to_valid(vacuum(2))
         assert eps0 == 0.0
+
+
+def test_margin_gradient_matches_central_differences():
+    rng = np.random.default_rng(900)
+    for _ in range(10):
+        gamma = random_state(rng).cov + rng.normal(0.0, 0.1, size=(4, 4))
+        grad = margin_gradient(gamma)
+        h = 1e-5
+        numeric = np.zeros((4, 4))
+        for i in range(4):
+            for j in range(4):
+                up, down = gamma.copy(), gamma.copy()
+                up[i, j] += h
+                down[i, j] -= h
+                numeric[i, j] = (margin_of(up) - margin_of(down)) / (2 * h)
+        scale = np.max(np.abs(grad))
+        np.testing.assert_allclose(grad, numeric, rtol=1e-7, atol=1e-7 * scale)

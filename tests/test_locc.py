@@ -13,6 +13,8 @@ from gaussep import (
     vacuum,
     verdict_from_estimate,
 )
+from gaussep.core import margin_of
+from gaussep.locc import margin_std_error
 
 
 def test_plan_accounting():
@@ -97,6 +99,28 @@ def test_estimator_error_shrinks_with_n():
         rms.append(np.mean(errs))
     slope = np.polyfit(np.log([1000, 10000, 100000]), np.log(rms), 1)[0]
     assert -0.6 <= slope <= -0.4
+
+
+def test_margin_std_error_perturbs_upper_entries_symmetrically():
+    rng = np.random.default_rng(910)
+    gamma = two_mode_squeezed_vacuum(0.4).cov + rng.normal(0.0, 0.05, size=(4, 4))
+    gamma = (gamma + gamma.T) / 2
+    se = rng.uniform(0.01, 0.1, size=(4, 4))
+    se[0, 0] = 0.0
+    se[1, 3] = np.nan
+    h = 1e-5
+    var = 0.0
+    for i in range(4):
+        for j in range(i, 4):
+            if se[i, j] == 0.0 or np.isnan(se[i, j]):
+                continue
+            up, down = gamma.copy(), gamma.copy()
+            up[i, j] += h
+            up[j, i] = up[i, j]
+            down[i, j] -= h
+            down[j, i] = down[i, j]
+            var += ((margin_of(up) - margin_of(down)) / (2 * h) * se[i, j]) ** 2
+    assert margin_std_error(gamma, se) == pytest.approx(np.sqrt(var), rel=1e-7)
 
 
 class TestVerdict:

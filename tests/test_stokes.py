@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from gaussep import (
     ConditioningError,
+    GaussianState,
+    InvalidStateError,
     ReferenceStateParams,
     SingleModeNetwork,
     TwoModeNetwork,
@@ -16,14 +19,19 @@ from gaussep import (
     propagated_expectations,
     reference_moments,
     sample_stokes,
-    solve_c_block,
-    solve_single_mode,
     thermal,
     tensor_product,
     two_mode_squeezed_vacuum,
     vacuum,
 )
-from gaussep.stokes import SingleModeMoments
+from gaussep.core import margin_of
+from gaussep.stokes import (
+    SingleModeMoments,
+    StokesConfig,
+    moment_vector,
+    network_design,
+    reconstruct,
+)
 from conftest import random_signal_state
 
 
@@ -125,20 +133,25 @@ class TestSampledBackend:
         assert [r.value.value for r in a] == [r.value.value for r in b]
 
 
+def _mode_moments(result, mode):
+    """Uncentered moments of one mode from a pipeline reconstruction."""
+    estimate = GaussianState(means=result.means_hat, cov=result.gamma_hat)
+    return SingleModeMoments.from_state(estimate, mode)
+
+
 class TestSingleModeSolve:
     def test_vacuum_recovered_exactly(self):
-        net = SingleModeNetwork(reference=ReferenceStateParams(d=1.0, theta=0.3))
-        readouts = expect_stokes(net, vacuum(1))
-        m = solve_single_mode(readouts, reference_moments(net.reference))
+        config = StokesConfig(ref_single=ReferenceStateParams(d=1.0, theta=0.3))
+        m = _mode_moments(full_pipeline(vacuum(2), config), 0)
         assert (m.q, m.p) == (pytest.approx(0.0, abs=1e-12), pytest.approx(0.0, abs=1e-12))
         assert m.q2 == pytest.approx(0.5, abs=1e-12)
         assert m.p2 == pytest.approx(0.5, abs=1e-12)
         assert m.sigma == pytest.approx(0.0, abs=1e-12)
 
     def test_displaced_signal_mean_recovered(self):
-        state = apply_transform(vacuum(1), displacement((1.0 / math.sqrt(2)) + 0.0j))
-        net = SingleModeNetwork()
-        m = solve_single_mode(expect_stokes(net, state), reference_moments(net.reference))
+        displaced = apply_transform(vacuum(1), displacement((1.0 / math.sqrt(2)) + 0.0j))
+        state = tensor_product(displaced, vacuum(1))
+        m = _mode_moments(full_pipeline(state, StokesConfig()), 0)
         assert m.q == pytest.approx(1.0, abs=1e-12)
         assert m.p == pytest.approx(0.0, abs=1e-12)
 
@@ -147,10 +160,7 @@ class TestSingleModeSolve:
         for _ in range(30):
             state = random_signal_state(rng)
             mode = int(rng.integers(0, 2))
-            net = SingleModeNetwork(mode=mode)
-            solved = solve_single_mode(
-                expect_stokes(net, state), reference_moments(net.reference)
-            )
+            solved = _mode_moments(full_pipeline(state, StokesConfig()), mode)
             truth = SingleModeMoments.from_state(state, mode)
             for field in ("q", "p", "q2", "p2", "sigma"):
                 assert getattr(solved, field) == pytest.approx(
@@ -159,18 +169,17 @@ class TestSingleModeSolve:
 
     def test_sampled_solve_within_five_sigma(self):
         state = two_mode_squeezed_vacuum(0.5)
-        net = SingleModeNetwork(mode=0)
-        readouts = sample_stokes(net, state, 100000, seed=11)
-        solved = solve_single_mode(readouts, reference_moments(net.reference))
+        result = full_pipeline(state, StokesConfig(), n_shots=100000, seed=11)
+        solved = _mode_moments(result, 0)
         # generous bound: solver mixes readouts, each with its own error
-        ses = [r.value.std_error for r in readouts]
+        ses = [r.value.std_error for r in result.readouts[:5]]
         bound = 5 * max(ses) * 5
         assert abs(solved.q2 - state.cov[0, 0]) < bound
 
     def test_zero_displacement_reference_fails_mean_solve(self):
-        net = SingleModeNetwork(reference=ReferenceStateParams(d=0.0, theta=0.3))
+        config = StokesConfig(ref_single=ReferenceStateParams(d=0.0, theta=0.3))
         with pytest.raises(ConditioningError, match="d = 0|first moments"):
-            solve_single_mode(expect_stokes(net, vacuum(1)), reference_moments(net.reference))
+            full_pipeline(vacuum(2), config)
 
     def test_phase_symmetric_reference_fails_moment_solve(self):
         # sinh(2 theta) = 2 d^2 balances displacement against squeezing so
@@ -179,49 +188,39 @@ class TestSingleModeSolve:
         ref = ReferenceStateParams(d=1.0, beta=0.0, theta=theta, gamma=0.0)
         m = reference_moments(ref)
         assert m.q2 == pytest.approx(m.p2, abs=1e-12)
-        net = SingleModeNetwork(reference=ref)
         with pytest.raises(ConditioningError, match="phase-symmetric"):
-            solve_single_mode(expect_stokes(net, vacuum(1)), reference_moments(ref))
+            full_pipeline(vacuum(2), StokesConfig(ref_single=ref))
 
     def test_biased_reference_rejected(self):
         ref = ReferenceStateParams(d=1.0, beta=0.4, theta=0.3, gamma=0.9)
         assert abs(reference_moments(ref).sigma) > 1e-3
-        net = SingleModeNetwork(reference=ref)
         with pytest.raises(ConditioningError, match="balanced-bias"):
-            solve_single_mode(expect_stokes(net, vacuum(1)), reference_moments(ref))
+            full_pipeline(vacuum(2), StokesConfig(ref_single=ref))
 
 
 class TestCBlockSolve:
     def _solve(self, state, net):
-        readouts = expect_stokes(net, state)
-        m1 = SingleModeMoments.from_state(state, 0)
-        m2 = SingleModeMoments.from_state(state, 1)
-        return solve_c_block(
-            readouts,
-            m1,
-            m2,
-            reference_moments(net.ref_c),
-            reference_moments(net.ref_d),
-            net.phi1,
-            net.phi2_values,
+        config = StokesConfig(
+            ref_c=net.ref_c, ref_d=net.ref_d, phi1=net.phi1, phi2_values=net.phi2_values
         )
+        return full_pipeline(state, config).gamma_hat[:2, 2:]
 
     def test_tmsv_exact(self):
         state = two_mode_squeezed_vacuum(0.5)
-        cross, c_block = self._solve(state, TwoModeNetwork())
+        c_block = self._solve(state, TwoModeNetwork())
         s = math.sinh(1.0) / 2.0
         assert np.allclose(c_block, np.diag([s, -s]), atol=1e-10)
 
     def test_thermal_product_zero(self):
         state = tensor_product(thermal(0.7), thermal(0.2))
-        _, c_block = self._solve(state, TwoModeNetwork())
+        c_block = self._solve(state, TwoModeNetwork())
         assert np.allclose(c_block, 0.0, atol=1e-12)
 
     def test_random_states_exact(self):
         rng = np.random.default_rng(500)
         for _ in range(30):
             state = random_signal_state(rng)
-            _, c_block = self._solve(state, TwoModeNetwork())
+            c_block = self._solve(state, TwoModeNetwork())
             assert np.allclose(c_block, state.cov[:2, 2:], atol=1e-9)
 
     def test_zero_mean_references_fall_back_to_s3(self):
@@ -234,7 +233,7 @@ class TestCBlockSolve:
         rng = np.random.default_rng(501)
         for _ in range(10):
             state = random_signal_state(rng)
-            _, c_block = self._solve(state, net)
+            c_block = self._solve(state, net)
             assert np.allclose(c_block, state.cov[:2, 2:], atol=1e-9)
 
     def test_identical_references_singular(self):
@@ -244,6 +243,75 @@ class TestCBlockSolve:
         )
         with pytest.raises(ConditioningError, match="proportional|singular"):
             self._solve(two_mode_squeezed_vacuum(0.3), net)
+
+
+class TestAffineDesign:
+    def test_design_reproduces_closed_forms_and_propagation(self):
+        rng = np.random.default_rng(700)
+        for case in range(20):
+            state = random_signal_state(rng)
+            theta = moment_vector(state)
+            networks = (
+                SingleModeNetwork(mode=0, reference=random_reference(rng)),
+                SingleModeNetwork(mode=1, reference=random_reference(rng)),
+                TwoModeNetwork(
+                    ref_c=random_reference(rng),
+                    ref_d=random_reference(rng),
+                    phi1=rng.uniform(0, 2 * math.pi),
+                    phi2_values=(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)),
+                ),
+            )
+            for net in networks:
+                design, offset = network_design(net)
+                affine = design @ theta + offset
+                closed = [r.value.value for r in expect_stokes(net, state)]
+                propagated = [r.value.value for r in propagated_expectations(net, state)]
+                np.testing.assert_allclose(affine, closed, rtol=1e-12, atol=1e-12,
+                                           err_msg=str(case))
+                np.testing.assert_allclose(affine, propagated, rtol=1e-8, atol=1e-8,
+                                           err_msg=str(case))
+
+    @pytest.mark.parametrize(
+        "field, values",
+        [("s1_phases", (0.0,)), ("s1sq_phases", (0.0, 1.0)), ("phi2_values", (0.0, 0.3, 0.7))],
+    )
+    def test_phase_counts_validated(self, field, values):
+        with pytest.raises(InvalidStateError, match=field):
+            StokesConfig(**{field: values})
+
+
+class TestErrorPropagation:
+    @staticmethod
+    def _sampled(n_shots=2000, seed=5):
+        result = full_pipeline(random_signal_state(np.random.default_rng(800)),
+                               n_shots=n_shots, seed=seed)
+        values = np.array([r.value.value for r in result.readouts])
+        errors = np.array([r.value.std_error for r in result.readouts])
+        return result, values, errors
+
+    def test_margin_error_is_gradient_times_readout_errors(self):
+        result, values, errors = self._sampled()
+        terms = []
+        for i, err in enumerate(errors):
+            h = 1e-5 * max(1.0, abs(values[i]))
+            up, down = values.copy(), values.copy()
+            up[i] += h
+            down[i] -= h
+            slope = (margin_of(reconstruct(up, errors)[1])
+                     - margin_of(reconstruct(down, errors)[1])) / (2 * h)
+            terms.append(slope * err)
+        expected = math.sqrt(sum(t * t for t in terms))
+        assert result.margin_std_error == pytest.approx(expected, rel=1e-6)
+
+    def test_margin_error_smooth_in_readouts(self):
+        result, values, errors = self._sampled()
+        base = reconstruct(values, errors)[3]
+        assert base == result.margin_std_error
+        for i in range(len(values)):
+            nudged = values.copy()
+            nudged[i] *= 1.0 + 1e-15
+            moved = reconstruct(nudged, errors)[3]
+            assert abs(moved - base) < 1e-12 * base, i
 
 
 class TestFullPipeline:
@@ -294,11 +362,21 @@ class TestFullPipeline:
 
 
 def test_readouts_csv_dump(tmp_path):
-    from gaussep.stokes import readouts_to_csv
-
     readouts = expect_stokes(TwoModeNetwork(), two_mode_squeezed_vacuum(0.3))
     path = tmp_path / "readouts.csv"
-    readouts_to_csv(readouts, path)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["observable", "phases", "value", "std_error", "n_shots"])
+        for r in readouts:
+            writer.writerow(
+                [
+                    r.observable,
+                    ";".join(f"{p:.12g}" for p in r.phases),
+                    repr(r.value.value),
+                    repr(r.value.std_error),
+                    r.value.n_shots,
+                ]
+            )
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "observable,phases,value,std_error,n_shots"
     assert len(lines) == 1 + len(readouts)
@@ -307,13 +385,14 @@ def test_readouts_csv_dump(tmp_path):
 def test_s3_zero_mean_reduces_to_cross_moment_difference():
     # with zero-mean signal and zero-mean references only the
     # (q1 p2 - p1 q2)/2 term of the anticoincidence observable survives
-    from gaussep.stokes import SingleModeMoments, s3_expectation, _cross_from_state
+    from gaussep.stokes import SingleModeMoments, s3_expectation, _moment_objects
     from gaussep import random_state, reference_moments, ReferenceStateParams
 
     state = random_state(33)
     m1 = SingleModeMoments.from_state(state, 0)
     m2 = SingleModeMoments.from_state(state, 1)
-    cross = _cross_from_state(state)
+    raw = state.cov + np.outer(state.means, state.means)
+    _, cross = _moment_objects(state.means.tolist(), raw.tolist())
     rc = reference_moments(ReferenceStateParams(d=0.0, theta=0.3))
     rd = reference_moments(ReferenceStateParams(d=0.0, theta=0.5))
     value = s3_expectation(m1, m2, cross, rc, rd, 0.0, 0.0)
