@@ -38,7 +38,7 @@ from .exceptions import (
     UnsupportedModeCountError,
 )
 from .locc import CovarianceEstimate, EstimatedVerdict, FiveGroupPlan, run_scheme, verdict_from_estimate
-from .sampling import MomentEstimate, ShotBatch, derive_rng, estimate_functional, sample_wigner
+from .sampling import MomentEstimate, ShotBatch, derive_rng, sample_wigner
 from .states import (
     ReferenceMoments,
     ReferenceStateParams,

@@ -11,6 +11,9 @@ Exit codes for analyze: 0 separable (boundary counts as separable),
 failures in simulate (ill-conditioned settings, too few shots, a state
 method 2 cannot resolve) surface as exit 4.
 
+simulate, sweep and randtest run every scheme through one dispatch,
+:func:`_run_scheme`.
+
 Output files land in --output-dir, defaulting to $GAUSSEP_OUTPUT_DIR or
 the working directory.  Identical configs and seeds reproduce estimate
 payloads byte for byte (only the wall_time_s field varies).
@@ -29,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import GaussianState, Verdict, simon_criterion, validate
+from .core import GaussianState, simon_criterion, validate
 from .exceptions import (
     AmbiguousRootError,
     ConditioningError,
@@ -38,7 +41,7 @@ from .exceptions import (
     InvalidStateError,
     SimonTypeMismatchError,
 )
-from .io import load_state, reference_params_from_dict, state_from_spec
+from .io import load_state, parse_field, reference_params_from_dict, state_from_spec
 from .locc import FiveGroupPlan, run_scheme, verdict_from_estimate
 from .sampling import derive_rng
 from .states import random_state
@@ -76,9 +79,10 @@ def validate_config(config: dict) -> dict:
         raise InvalidStateError(
             f"unknown scheme {config['scheme']!r}; expected one of {SCHEMES}"
         )
-    if not isinstance(config["shots"], int) or config["shots"] < 1:
+    shots, seed = config["shots"], config["seed"]
+    if isinstance(shots, bool) or not isinstance(shots, int) or shots < 1:
         raise InvalidStateError("shots must be a positive integer")
-    if not isinstance(config["seed"], int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise InvalidStateError("seed must be an integer")
     params = config.get("scheme_params", {}) or {}
     if not isinstance(params, dict):
@@ -101,11 +105,13 @@ def _stokes_config(params: dict) -> StokesConfig:
     kwargs = {}
     for key in ("ref_single", "ref_c", "ref_d"):
         if key in params:
-            kwargs[key] = reference_params_from_dict(params[key])
+            kwargs[key] = reference_params_from_dict(params[key], key)
     if "phi1" in params:
-        kwargs["phi1"] = float(params["phi1"])
+        kwargs["phi1"] = parse_field("phi1", float, params["phi1"])
     if "phi2_values" in params:
-        kwargs["phi2_values"] = tuple(float(v) for v in params["phi2_values"])
+        kwargs["phi2_values"] = parse_field(
+            "phi2_values", lambda v: tuple(float(x) for x in v), params["phi2_values"]
+        )
     return StokesConfig(**kwargs)
 
 
@@ -113,10 +119,35 @@ def _opa_params(params: dict) -> OpaParams:
     if "opa" not in params:
         return OpaParams()
     spec = params["opa"]
+    if not isinstance(spec, dict):
+        raise InvalidStateError("opa must be an object")
     unknown = set(spec) - {"g1", "phi1", "g2", "phi2"}
     if unknown:
         raise InvalidStateError(f"unknown opa parameters {sorted(unknown)}")
-    return OpaParams(**spec)
+    return OpaParams(**{key: parse_field(f"opa.{key}", float, v) for key, v in spec.items()})
+
+
+def _run_scheme(state: GaussianState, scheme: str, shots: int, seed: int,
+                params: dict) -> tuple[dict, np.ndarray | None]:
+    """Run one scheme on a two-mode state: its estimate payload and, for
+    schemes that reconstruct one, the estimated covariance matrix."""
+    if scheme in ("locc_i", "locc_ii"):
+        plan = FiveGroupPlan(
+            shots_per_group=shots,
+            variant="scheme_i" if scheme == "locc_i" else "scheme_ii",
+        )
+        est = run_scheme(state, plan, seed)
+        return {**est.to_dict(), **verdict_from_estimate(est).to_dict()}, est.gamma_hat
+    if scheme == "stokes":
+        result = full_pipeline(state, _stokes_config(params), n_shots=shots, seed=seed)
+        return result.to_dict(), result.gamma_hat
+    if scheme.startswith("twocopy"):
+        opa = _opa_params(params) if scheme == "twocopy_m3" else None
+        method = scheme.replace("twocopy_m", "method")
+        return run_two_copy(state, method, shots, seed, opa_params=opa).to_dict(), None
+    estimate = simon_criterion(state).to_dict()
+    estimate["margin_std_error"] = 0.0
+    return estimate, state.cov
 
 
 def run_experiment(config: dict) -> dict:
@@ -127,39 +158,12 @@ def run_experiment(config: dict) -> dict:
         raise InvalidStateError(
             f"schemes need a two-mode state, got {state.n_modes} modes"
         )
-    scheme = config["scheme"]
-    shots = config["shots"]
-    seed = config["seed"]
-    params = config.get("scheme_params", {}) or {}
     truth = simon_criterion(state)
     started = time.perf_counter()
-    gamma_hat = None
-    if scheme in ("locc_i", "locc_ii"):
-        plan = FiveGroupPlan(
-            shots_per_group=shots,
-            variant="scheme_i" if scheme == "locc_i" else "scheme_ii",
-        )
-        est = run_scheme(state, plan, seed)
-        verdict = verdict_from_estimate(est)
-        estimate = est.to_dict()
-        estimate.update(verdict.to_dict())
-        gamma_hat = est.gamma_hat
-    elif scheme == "stokes":
-        result = full_pipeline(state, _stokes_config(params), n_shots=shots, seed=seed)
-        estimate = result.to_dict()
-        gamma_hat = result.gamma_hat
-    elif scheme.startswith("twocopy"):
-        method = {"twocopy_m1": "method1", "twocopy_m2": "method2",
-                  "twocopy_m3": "method3"}[scheme]
-        result = run_two_copy(
-            state, method, shots, seed,
-            opa_params=_opa_params(params) if scheme == "twocopy_m3" else None,
-        )
-        estimate = result.to_dict()
-    else:
-        estimate = simon_criterion(state).to_dict()
-        estimate["margin_std_error"] = 0.0
-        gamma_hat = state.cov
+    estimate, gamma_hat = _run_scheme(
+        state, config["scheme"], config["shots"], config["seed"],
+        config.get("scheme_params", {}) or {},
+    )
     wall = time.perf_counter() - started
     record = {
         "tool_version": __version__,
@@ -172,16 +176,15 @@ def run_experiment(config: dict) -> dict:
         err = np.asarray(gamma_hat) - state.cov
         record["gamma_error_rms"] = float(np.sqrt(np.mean(err**2)))
         record["gamma_error_max"] = float(np.max(np.abs(err)))
-    record["verdict_agrees"] = _verdicts_agree(
-        truth.verdict.value, estimate["verdict"]
+    record["verdict_agrees"] = (
+        _counts_as_separable(truth.verdict.value) == _counts_as_separable(estimate["verdict"])
     )
     return record
 
 
-def _verdicts_agree(truth: str, estimate: str) -> bool:
-    # boundary counts as separable on either side
-    sep = {"separable", "boundary"}
-    return (truth in sep) == (estimate in sep)
+def _counts_as_separable(verdict: str) -> bool:
+    """The boundary counts as separable, for the truth and for estimates."""
+    return verdict in ("separable", "boundary")
 
 
 def _output_dir(args) -> Path:
@@ -211,7 +214,7 @@ def cmd_analyze(args) -> int:
         return 2
     report = simon_criterion(state)
     print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
-    return 0 if report.verdict in (Verdict.SEPARABLE, Verdict.BOUNDARY) else 1
+    return 0 if _counts_as_separable(report.verdict.value) else 1
 
 
 def _load_config(args) -> dict:
@@ -318,14 +321,12 @@ def cmd_randtest(args) -> int:
         state = random_state(derive_rng(args.seed, index))
         truth = simon_criterion(state)
         try:
-            estimate = _run_scheme_on_state(
-                state, args.scheme, args.shots, args.seed + index
-            )
+            estimate, _ = _run_scheme(state, args.scheme, args.shots, args.seed + index, {})
         except GaussepError as exc:
             disagreements.append({"index": index, "error": str(exc)})
             continue
-        true_sep = truth.verdict in (Verdict.SEPARABLE, Verdict.BOUNDARY)
-        est_sep = estimate["verdict"] in ("separable", "boundary")
+        true_sep = _counts_as_separable(truth.verdict.value)
+        est_sep = _counts_as_separable(estimate["verdict"])
         key = f"{'sep' if true_sep else 'ent'}_{'sep' if est_sep else 'ent'}"
         counts[key] += 1
         if true_sep != est_sep:
@@ -350,26 +351,6 @@ def cmd_randtest(args) -> int:
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
-
-
-def _run_scheme_on_state(state: GaussianState, scheme: str, shots: int, seed: int) -> dict:
-    """Scheme dispatch for states built in memory (randtest path)."""
-    if scheme in ("locc_i", "locc_ii"):
-        plan = FiveGroupPlan(
-            shots_per_group=shots,
-            variant="scheme_i" if scheme == "locc_i" else "scheme_ii",
-        )
-        verdict = verdict_from_estimate(run_scheme(state, plan, seed))
-        return verdict.to_dict()
-    if scheme == "stokes":
-        return full_pipeline(state, n_shots=shots, seed=seed).to_dict()
-    if scheme.startswith("twocopy"):
-        method = {"twocopy_m1": "method1", "twocopy_m2": "method2",
-                  "twocopy_m3": "method3"}[scheme]
-        return run_two_copy(state, method, shots, seed).to_dict()
-    report = simon_criterion(state).to_dict()
-    report["margin_std_error"] = 0.0
-    return report
 
 
 def main(argv=None) -> int:

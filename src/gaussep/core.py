@@ -18,6 +18,11 @@ the state is separable iff
 
 equivalently iff the minimum symplectic eigenvalue of the partially
 transposed covariance matrix is >= 1/2.
+
+The exact analysis and every scheme share one definition of each step:
+:func:`block_determinants`, then :func:`simon_margin` (delta and the
+margin), :func:`verdict_of` (the verdict and its boundary tolerance) and
+:func:`symplectic_spectrum` (``xi_min`` from delta and det(cov)).
 """
 
 from __future__ import annotations
@@ -101,9 +106,6 @@ class BlockDecomposition:
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-
-    def reassemble(self) -> np.ndarray:
-        return np.block([[self.a, self.c], [self.c.T, self.b]])
 
 
 class Verdict(enum.Enum):
@@ -202,33 +204,64 @@ def partial_transpose(state: GaussianState, mode: int = 1) -> GaussianState:
     return GaussianState(means=refl * state.means, cov=L @ state.cov @ L)
 
 
-def symplectic_eigenvalues(state: GaussianState) -> tuple[float, float]:
-    """Both symplectic eigenvalues of a two-mode covariance matrix.
+def block_determinants(gamma: np.ndarray) -> tuple[float, float, float, float]:
+    """det A, det B, det C and det(gamma) of a 4x4 matrix [[A, C], [C^T, B]]."""
+    blocks = (gamma[:2, :2], gamma[2:, 2:], gamma[:2, 2:], gamma)
+    return tuple(float(np.linalg.det(m)) for m in blocks)
 
-    Roots of nu^4 - Delta nu^2 + det(cov) = 0 with
-    Delta = det A + det B + 2 det C evaluated on the input matrix; equal to
-    the absolute eigenvalues of i J cov.
+
+def simon_margin(det_a: float, det_b: float, det_c: float,
+                 det_gamma: float) -> tuple[float, float]:
+    """(delta, margin) with delta = det A + det B - 2 det C and
+    margin = delta - 4 det(gamma) - 1/4; the state is entangled iff
+    margin > 0."""
+    delta = det_a + det_b - 2.0 * det_c
+    return delta, delta - 4.0 * det_gamma - 0.25
+
+
+def verdict_of(margin: float, tol: float = VERDICT_TOL) -> Verdict:
+    """Verdict of a Simon margin; |margin| <= tol is the boundary."""
+    if abs(margin) <= tol:
+        return Verdict.BOUNDARY
+    return Verdict.ENTANGLED if margin > tol else Verdict.SEPARABLE
+
+
+def symplectic_spectrum(delta: float, det_gamma: float,
+                        tol: float = PHYSICALITY_TOL) -> tuple[float, float]:
+    """Both symplectic eigenvalues of a two-mode matrix with invariants
+    delta = det A + det B + 2 det C and det(gamma).
+
+    Their squares are the roots of x^2 - delta x + det(gamma) = 0.  Raises
+    InvalidCovarianceError when the roots are complex beyond rounding or
+    the smaller one is below ``-tol``; NaN invariants fail both checks.
     """
-    require_two_modes(state)
-    blocks = block_decomposition(state)
-    delta = (
-        np.linalg.det(blocks.a)
-        + np.linalg.det(blocks.b)
-        + 2.0 * np.linalg.det(blocks.c)
-    )
-    det_gamma = np.linalg.det(state.cov)
     disc = delta * delta - 4.0 * det_gamma
-    scale = max(1.0, abs(delta) ** 2, 4.0 * abs(det_gamma))
-    if disc < -PHYSICALITY_TOL * scale:
+    scale = max(1.0, delta * delta, 4.0 * abs(det_gamma))
+    if not disc >= -PHYSICALITY_TOL * scale:
         raise InvalidCovarianceError(
             f"no real symplectic spectrum: Delta^2 - 4 det = {disc:.3e}"
         )
     root = math.sqrt(max(disc, 0.0))
     lo = (delta - root) / 2.0
     hi = (delta + root) / 2.0
-    if lo < -PHYSICALITY_TOL:
+    if not lo >= -tol:
         raise InvalidCovarianceError(f"negative squared eigenvalue {lo:.3e}")
     return math.sqrt(max(lo, 0.0)), math.sqrt(max(hi, 0.0))
+
+
+def log_negativity(xi_min: float) -> float:
+    """max(0, -ln(2 xi_min)); zero on separable states."""
+    return max(0.0, -math.log(2.0 * xi_min)) if xi_min > 0 else math.inf
+
+
+def symplectic_eigenvalues(state: GaussianState) -> tuple[float, float]:
+    """Both symplectic eigenvalues of a two-mode covariance matrix; equal
+    to the absolute eigenvalues of i J cov."""
+    require_two_modes(state)
+    det_a, det_b, det_c, det_gamma = block_determinants(state.cov)
+    # delta of the matrix itself, not of its partial transpose
+    delta, _ = simon_margin(det_a, det_b, -det_c, det_gamma)
+    return symplectic_spectrum(delta, det_gamma)
 
 
 def min_symplectic_eigenvalue(state: GaussianState) -> float:
@@ -246,22 +279,9 @@ def simon_criterion(state: GaussianState, tol: float = VERDICT_TOL) -> Separabil
     """
     require_two_modes(state)
     require_valid(state)
-    blocks = block_decomposition(state)
-    det_a = float(np.linalg.det(blocks.a))
-    det_b = float(np.linalg.det(blocks.b))
-    det_c = float(np.linalg.det(blocks.c))
-    det_gamma = float(np.linalg.det(state.cov))
-    delta = det_a + det_b - 2.0 * det_c
-    margin = delta - 4.0 * det_gamma - 0.25
-    xi_min = min_symplectic_eigenvalue(partial_transpose(state))
-    if abs(margin) <= tol:
-        verdict = Verdict.BOUNDARY
-    elif margin > tol:
-        verdict = Verdict.ENTANGLED
-    else:
-        verdict = Verdict.SEPARABLE
-    log_neg = max(0.0, -math.log(2.0 * xi_min)) if xi_min > 0 else math.inf
-    neg_log_xi = -math.log(xi_min) if xi_min > 0 else math.inf
+    det_a, det_b, det_c, det_gamma = block_determinants(state.cov)
+    delta, margin = simon_margin(det_a, det_b, det_c, det_gamma)
+    xi_min = symplectic_spectrum(delta, det_gamma)[0]
     return SeparabilityReport(
         det_a=det_a,
         det_b=det_b,
@@ -270,18 +290,15 @@ def simon_criterion(state: GaussianState, tol: float = VERDICT_TOL) -> Separabil
         delta=delta,
         xi_min=xi_min,
         margin=margin,
-        verdict=verdict,
-        log_negativity=log_neg,
-        neg_log_xi=neg_log_xi,
+        verdict=verdict_of(margin, tol),
+        log_negativity=log_negativity(xi_min),
+        neg_log_xi=-math.log(xi_min) if xi_min > 0 else math.inf,
     )
 
 
 def margin_of(gamma: np.ndarray) -> float:
     """det A + det B - 2 det C - 4 det(gamma) - 1/4 for a 4x4 matrix."""
-    a = np.linalg.det(gamma[:2, :2])
-    b = np.linalg.det(gamma[2:, 2:])
-    c = np.linalg.det(gamma[:2, 2:])
-    return float(a + b - 2.0 * c - 4.0 * np.linalg.det(gamma) - 0.25)
+    return simon_margin(*block_determinants(gamma))[1]
 
 
 # row and column indices of the 16 3x3 minors of a 4x4 matrix, and their signs

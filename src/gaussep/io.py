@@ -63,12 +63,25 @@ def state_from_payload(payload: dict) -> GaussianState:
     return GaussianState(means=means, cov=cov)
 
 
-def reference_params_from_dict(params: dict) -> ReferenceStateParams:
-    allowed = {"n_bar", "d", "beta", "theta", "gamma"}
-    unknown = set(params) - allowed
+def parse_field(key: str, parse, value):
+    """``parse(value)``; a value of the wrong type or form raises
+    InvalidStateError naming ``key``."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidStateError(f"malformed value {value!r} for {key!r}: {exc}") from None
+
+
+def reference_params_from_dict(params: dict, key: str) -> ReferenceStateParams:
+    """Reference parameters from the object stored under ``key``."""
+    if not isinstance(params, dict):
+        raise InvalidStateError(f"{key} must be an object")
+    unknown = set(params) - {"n_bar", "d", "beta", "theta", "gamma"}
     if unknown:
-        raise InvalidStateError(f"unknown reference parameters {sorted(unknown)}")
-    return ReferenceStateParams(**params)
+        raise InvalidStateError(f"unknown {key} parameters {sorted(unknown)}")
+    return ReferenceStateParams(
+        **{name: parse_field(f"{key}.{name}", float, v) for name, v in params.items()}
+    )
 
 
 def _check_params(kind: str, params: dict, allowed: set) -> None:
@@ -87,35 +100,39 @@ def state_from_spec(spec: dict) -> GaussianState:
         )
     kind = spec.get("kind")
     params = spec.get("params", {}) or {}
+    if not isinstance(params, dict):
+        raise InvalidStateError("state params must be an object")
     if kind not in STATE_KINDS:
         raise InvalidStateError(f"unknown state kind {kind!r}; expected {STATE_KINDS}")
+
+    def number(key, default=None, parse=float):
+        if default is None and key not in params:
+            raise InvalidStateError(f"state kind {kind!r} needs parameter {key!r}")
+        return parse_field(key, parse, params.get(key, default))
+
     if kind == "vacuum":
         _check_params(kind, params, {"n_modes"})
-        return vacuum(int(params.get("n_modes", 2)))
+        return vacuum(number("n_modes", 2, int))
     if kind == "thermal":
         _check_params(kind, params, {"n_bar", "n_bars"})
         if "n_bars" in params:
-            bars = list(params["n_bars"])
+            bars = number("n_bars", parse=lambda v: [float(b) for b in v])
             state = thermal(bars[0])
             for nb in bars[1:]:
                 state = tensor_product(state, thermal(nb))
             return state
-        return thermal(float(params.get("n_bar", 0.0)))
+        return thermal(number("n_bar", 0.0))
     if kind == "dst":
-        _check_params(kind, params, {"n_bar", "d", "beta", "theta", "gamma"})
-        return displaced_squeezed_thermal(ReferenceStateParams(**params))
+        return displaced_squeezed_thermal(reference_params_from_dict(params, "dst"))
     if kind == "tmsv":
         _check_params(kind, params, {"r"})
-        return two_mode_squeezed_vacuum(float(params.get("r", 0.5)))
+        return two_mode_squeezed_vacuum(number("r", 0.5))
     if kind == "simon":
         _check_params(kind, params, {"lambda", "mu", "s", "t"})
-        return simon_form(
-            float(params["lambda"]), float(params["mu"]),
-            float(params["s"]), float(params["t"]),
-        )
+        return simon_form(*(number(key) for key in ("lambda", "mu", "s", "t")))
     _check_params(kind, params, {"seed", "max_squeeze", "max_thermal"})
     return random_state(
-        int(params.get("seed", 0)),
-        max_squeeze=float(params.get("max_squeeze", 1.0)),
-        max_thermal=float(params.get("max_thermal", 2.0)),
+        number("seed", 0, int),
+        max_squeeze=number("max_squeeze", 1.0),
+        max_thermal=number("max_thermal", 2.0),
     )

@@ -63,10 +63,6 @@ class FiveGroupPlan:
             )
 
     @property
-    def groups(self) -> tuple[str, ...]:
-        return GROUP_LABELS
-
-    @property
     def total_shots(self) -> int:
         return 5 * self.shots_per_group
 

@@ -15,6 +15,7 @@ identical results regardless of scheduling or worker count.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,29 +92,14 @@ def sample_wigner(state: GaussianState, n_shots: int, seed: int, *key: int) -> S
     return ShotBatch(samples=samples, seed=int(seed), key=tuple(key))
 
 
-def estimate_functional(batch: ShotBatch, f) -> MomentEstimate:
-    """Sample mean and standard error of a per-shot functional.
-
-    ``f`` maps the (N, 2n) sample matrix to a length-N vector of per-shot
-    values (evaluate scalar functions with numpy broadcasting).
-    """
-    values = np.asarray(f(batch.samples), dtype=float)
-    if values.shape != (batch.n_shots,):
-        raise ValueError(
-            f"functional returned shape {values.shape}, expected ({batch.n_shots},)"
-        )
-    n = batch.n_shots
-    std = float(np.std(values, ddof=1)) if n > 1 else 0.0
-    return MomentEstimate(
-        value=float(np.mean(values)), std_error=std / np.sqrt(n), n_shots=n
-    )
-
-
 def mean_and_se(values: np.ndarray) -> MomentEstimate:
+    """Sample mean of per-shot values with its standard error."""
     values = np.asarray(values, dtype=float)
     n = values.size
-    std = float(np.std(values, ddof=1)) if n > 1 else 0.0
-    return MomentEstimate(value=float(np.mean(values)), std_error=std / np.sqrt(n), n_shots=n)
+    if n < 2:
+        raise InsufficientShotsError(f"a standard error needs at least 2 shots, got {n}")
+    std = float(np.std(values, ddof=1))
+    return MomentEstimate(value=float(np.mean(values)), std_error=std / math.sqrt(n), n_shots=n)
 
 
 def covariance_and_se(x: np.ndarray, y: np.ndarray) -> MomentEstimate:

@@ -100,10 +100,6 @@ class ReferenceMoments:
         return self.sigma - 0.5j
 
     @property
-    def q2_minus_p2(self) -> float:
-        return self.q2 - self.p2
-
-    @property
     def q2_plus_p2(self) -> float:
         return self.q2 + self.p2
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,7 +71,7 @@ from .moments import (
     poly_product,
     real_expect_operator,
 )
-from .sampling import MomentEstimate, sample_wigner
+from .sampling import MomentEstimate, mean_and_se, sample_wigner
 from .states import (
     ReferenceMoments,
     ReferenceStateParams,
@@ -368,20 +368,9 @@ def sample_stokes(network, state: GaussianState, n_shots: int, seed: int,
     readouts = []
     for index, ((name, phases), out) in enumerate(_readout_programs(network, state)):
         batch = sample_wigner(out, n_shots, seed, *key, index)
-        values = _sampled_values(_FACTORS[name], batch.samples)
+        est = mean_and_se(_sampled_values(_FACTORS[name], batch.samples))
         offset = ordering_offset(_EXPANDED[name], out.n_modes)
-        std = float(np.std(values, ddof=1)) / math.sqrt(n_shots)
-        readouts.append(
-            StokesReadout(
-                name,
-                phases,
-                MomentEstimate(
-                    value=float(np.mean(values)) + offset,
-                    std_error=std,
-                    n_shots=n_shots,
-                ),
-            )
-        )
+        readouts.append(StokesReadout(name, phases, replace(est, value=est.value + offset)))
     return readouts
 
 

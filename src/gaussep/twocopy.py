@@ -39,17 +39,22 @@ from .core import (
     GaussianState,
     Verdict,
     VERDICT_TOL,
+    log_negativity,
     partial_trace,
     purity,
     require_two_modes,
     require_valid,
+    simon_margin,
+    symplectic_spectrum,
     tensor_product,
     validate,
+    verdict_of,
 )
 from .exceptions import (
     AmbiguousRootError,
     ConditioningError,
     InsufficientShotsError,
+    InvalidCovarianceError,
     InvalidStateError,
     SimonTypeMismatchError,
 )
@@ -60,7 +65,7 @@ from .moments import (
     ordering_offset,
     real_expect_operator,
 )
-from .sampling import derive_rng, sample_wigner
+from .sampling import covariance_and_se, derive_rng, mean_and_se, sample_wigner
 from .states import ReferenceStateParams
 from .stokes import SingleModeNetwork, network_design, sample_stokes
 from .transforms import apply_transform, embed, opa, rotation_theta, SymplecticTransform
@@ -181,12 +186,9 @@ def method1_c(state: GaussianState, n_shots: int, seed: int) -> CMatrixEstimate:
     c = np.zeros((2, 2))
     se = np.zeros((2, 2))
     for (i, j), mask in pairs.items():
-        x = rows[mask][:, i]          # alice column: q1 -> 0, p1 -> 1
-        y = rows[mask][:, 2 + j]      # bob column:   q2 -> 2, p2 -> 3
-        n = x.size
-        prod = (x - x.mean()) * (y - y.mean())
-        c[i, j] = float(np.sum(prod) / (n - 1))
-        se[i, j] = float(np.std(prod, ddof=1)) / math.sqrt(n)
+        # alice column: q1 -> 0, p1 -> 1; bob column: q2 -> 2, p2 -> 3
+        est = covariance_and_se(rows[mask][:, i], rows[mask][:, 2 + j])
+        c[i, j], se[i, j] = est.value, est.std_error
     det, det_se = _det2_and_se(c, se)
     return CMatrixEstimate(
         c_hat=c, c_se=se, det_c=det, det_c_se=det_se, n_shots=n_shots, method="method1"
@@ -444,9 +446,9 @@ def method3_c(state: GaussianState, params: OpaParams | None = None,
     else:
         for i, poly in enumerate(_OPA_POLYS):
             batch = sample_wigner(out, n_shots, seed, 20 + i)
-            shot_vals = evaluate_on_samples(poly, batch.samples)
-            values[i] = float(np.mean(shot_vals)) + ordering_offset(poly, 4)
-            errors[i] = float(np.std(shot_vals, ddof=1)) / math.sqrt(n_shots)
+            est = mean_and_se(evaluate_on_samples(poly, batch.samples))
+            values[i] = est.value + ordering_offset(poly, 4)
+            errors[i] = est.std_error
             shots_used += n_shots
     sum_sys = params.sum_system()
     diff_sys = params.diff_system()
@@ -527,33 +529,17 @@ def assemble_verdict(det_a: float, det_b: float, det_c: float, det_gamma: float,
                      shots_used: int = 0, tol: float = VERDICT_TOL) -> TwoCopyResult:
     """Simon criterion from determinant estimates.
 
-    margin = det A + det B - 2 det C - 4 det(cov) - 1/4; its standard error
-    follows from the (independent) input errors.  xi_min is computed when
-    the estimates admit a real symplectic spectrum and flagged inconsistent
-    otherwise.
+    The margin's standard error follows from the (independent) input
+    errors.  xi_min is computed when the estimates admit a real symplectic
+    spectrum and flagged inconsistent otherwise.
     """
-    delta = det_a + det_b - 2.0 * det_c
-    margin = delta - 4.0 * det_gamma - 0.25
+    delta, margin = simon_margin(det_a, det_b, det_c, det_gamma)
     se_a, se_b, se_c, se_g = std_errors
     margin_se = math.sqrt(se_a**2 + se_b**2 + 4.0 * se_c**2 + 16.0 * se_g**2)
-    if abs(margin) <= tol:
-        verdict = Verdict.BOUNDARY
-    elif margin > tol:
-        verdict = Verdict.ENTANGLED
-    else:
-        verdict = Verdict.SEPARABLE
-    disc = delta * delta - 4.0 * det_gamma
-    scale = max(1.0, delta * delta, 4.0 * abs(det_gamma))
-    consistent = disc >= -1e-10 * scale
-    xi_min = None
-    log_neg = None
-    if consistent:
-        lo = (delta - math.sqrt(max(disc, 0.0))) / 2.0
-        if lo >= -1e-12:
-            xi_min = math.sqrt(max(lo, 0.0))
-            log_neg = max(0.0, -math.log(2.0 * xi_min)) if xi_min > 0 else math.inf
-        else:
-            consistent = False
+    try:
+        xi_min = symplectic_spectrum(delta, det_gamma, tol=1e-12)[0]
+    except InvalidCovarianceError:
+        xi_min = None
     settings = {
         "swap_tests": 4 if method == "method2" else 3,
         "det_c_settings": _METHOD_SETTINGS.get(method, 0),
@@ -567,10 +553,10 @@ def assemble_verdict(det_a: float, det_b: float, det_c: float, det_gamma: float,
         delta=delta,
         margin=margin,
         margin_std_error=margin_se,
-        verdict=verdict,
+        verdict=verdict_of(margin, tol),
         xi_min=xi_min,
-        log_negativity=log_neg,
-        estimates_consistent=consistent,
+        log_negativity=None if xi_min is None else log_negativity(xi_min),
+        estimates_consistent=xi_min is not None,
         method=method,
         shots_used=shots_used,
         measurement_settings=settings,

@@ -193,6 +193,37 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 3
         assert "phi2_values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scheme", ["stokes", "twocopy_m3"])
+    def test_single_shot_exit_four(self, tmp_path, capsys, scheme):
+        # one shot has no standard error
+        cfg = self.config(tmp_path, scheme=scheme, shots=1, seed=1)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--output-dir", str(out)]) == 4
+        assert "at least 2 shots" in capsys.readouterr().err
+        assert not (out / "record.json").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"shots": True}, "shots"),
+            ({"seed": False}, "seed"),
+            ({"state": {"kind": "tmsv", "params": {"r": "x"}}}, "'r'"),
+            ({"scheme": "stokes", "scheme_params": {"phi1": "x"}}, "'phi1'"),
+            ({"scheme": "stokes", "scheme_params": {"phi2_values": 0.3}}, "'phi2_values'"),
+            ({"scheme": "stokes", "scheme_params": {"ref_c": {"d": "x"}}}, "'ref_c.d'"),
+            ({"scheme": "twocopy_m3", "scheme_params": {"opa": {"g1": "x"}}}, "'opa.g1'"),
+            ({"scheme": "twocopy_m3", "scheme_params": {"opa": [1]}}, "opa must be an object"),
+        ],
+        ids=["shots", "seed", "r", "phi1", "phi2_values", "ref_c.d", "opa.g1", "opa-list"],
+    )
+    def test_malformed_value_exit_three(self, tmp_path, capsys, overrides, named):
+        cfg = {"state": {"kind": "tmsv", "params": {"r": 0.5}}, "scheme": "locc_i",
+               "shots": 2000, "seed": 0, **overrides}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path), "--output-dir", str(tmp_path)]) == 3
+        assert named in capsys.readouterr().err
+
     def test_simon_type_mismatch_exit_four(self, tmp_path, capsys):
         # a random state is not of Simon normal form, so method 2 finds no
         # valid root: a scheme failure, not malformed input

@@ -5,14 +5,14 @@ import pytest
 
 from gaussep import (
     GaussianState,
+    InsufficientShotsError,
     InvalidCovarianceError,
-    estimate_functional,
     sample_wigner,
     thermal,
     two_mode_squeezed_vacuum,
     vacuum,
 )
-from gaussep.sampling import batch_to_csv, covariance_and_se, derive_rng
+from gaussep.sampling import batch_to_csv, covariance_and_se, derive_rng, mean_and_se
 
 
 def test_fixed_seed_reproducible():
@@ -44,7 +44,7 @@ def test_tmsv_cross_moment_within_five_sigma():
     n = 100000
     state = two_mode_squeezed_vacuum(0.5)
     batch = sample_wigner(state, n, 5)
-    est = estimate_functional(batch, lambda rows: rows[:, 0] * rows[:, 2])
+    est = mean_and_se(batch.samples[:, 0] * batch.samples[:, 2])
     assert abs(est.value - 0.5876005968219007) < 5 * est.std_error
 
 
@@ -74,7 +74,7 @@ def test_fourth_moment_matches_isserlis():
     state = two_mode_squeezed_vacuum(0.5)
     n = 100000
     batch = sample_wigner(state, n, 17)
-    est = estimate_functional(batch, lambda rows: rows[:, 0] ** 2 * rows[:, 2] ** 2)
+    est = mean_and_se(batch.samples[:, 0] ** 2 * batch.samples[:, 2] ** 2)
     g11, g22, g12 = state.cov[0, 0], state.cov[2, 2], state.cov[0, 2]
     target = g11 * g22 + 2 * g12**2
     assert abs(est.value - target) < 5 * est.std_error
@@ -88,7 +88,7 @@ def test_symmetrized_cross_term():
         thermal(0.5), compose(phase_shifter(0.6), single_mode_squeezer(0.5))
     )
     batch = sample_wigner(state, 200000, 23)
-    est = estimate_functional(batch, lambda rows: rows[:, 0] * rows[:, 1])
+    est = mean_and_se(batch.samples[:, 0] * batch.samples[:, 1])
     assert abs(est.value - state.cov[0, 1]) < 5 * est.std_error
 
 
@@ -99,11 +99,13 @@ def test_non_psd_rejected():
         sample_wigner(state, 10, 0)
 
 
-def test_estimate_functional_mean_and_se():
+def test_mean_and_se():
     batch = sample_wigner(vacuum(1), 50000, 31)
-    est = estimate_functional(batch, lambda rows: rows[:, 0])
+    est = mean_and_se(batch.samples[:, 0])
     assert abs(est.value) < 5 * est.std_error
     assert est.std_error == pytest.approx(math.sqrt(0.5) / math.sqrt(50000), rel=0.05)
+    with pytest.raises(InsufficientShotsError):
+        mean_and_se(batch.samples[:1, 0])
 
 
 def test_covariance_and_se_unbiased():
