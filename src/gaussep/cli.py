@@ -220,6 +220,8 @@ def cmd_analyze(args) -> int:
 def _load_config(args) -> dict:
     with open(args.config) as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        raise InvalidStateError("config must be a JSON object")
     if args.seed is not None:
         config["seed"] = args.seed
     return config
@@ -266,15 +268,37 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _sweep_points(config: dict, axis: str, values: str) -> list[tuple[float, dict]]:
+    """(axis value, config) of every sweep point, each config validated;
+    malformed input raises InvalidStateError naming --values or the key."""
+    points = []
+    for text in (v for v in values.split(",") if v.strip() != ""):
+        value = parse_field("--values", float, text)
+        if not np.isfinite(value) or axis == "shots" and (value < 1 or value != int(value)):
+            kind = "a whole shot count >= 1" if axis == "shots" else "a finite number"
+            raise InvalidStateError(f"--values entry {text!r} is not {kind}")
+        point = json.loads(json.dumps(config))
+        if axis == "shots":
+            point["shots"] = int(value)
+        else:
+            state = point.get("state")
+            if not isinstance(state, dict) or state.get("kind") != "tmsv":
+                raise InvalidStateError("state must be a tmsv state for a squeeze sweep")
+            params = state.setdefault("params", {})
+            if not isinstance(params, dict):
+                raise InvalidStateError("state.params must be an object")
+            params["r"] = value
+        points.append((value, validate_config(point)))
+    return points
+
+
 def cmd_sweep(args) -> int:
     try:
-        config = _load_config(args)
+        points = _sweep_points(_load_config(args), args.axis, args.values)
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(f"cannot read config: {exc}", 3)
-    try:
-        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        return _fail(f"bad sweep values: {exc}", 3)
+    except GaussepError as exc:
+        return _fail(str(exc), 3)
     out = _output_dir(args)
     path = out / f"sweep_{args.axis}.csv"
     fields = [
@@ -284,14 +308,7 @@ def cmd_sweep(args) -> int:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fields)
-        for value in values:
-            point = json.loads(json.dumps(config))
-            if args.axis == "shots":
-                point["shots"] = int(value)
-            else:
-                if point["state"].get("kind") != "tmsv":
-                    return _fail("squeeze sweep requires a tmsv state", 3)
-                point["state"].setdefault("params", {})["r"] = value
+        for value, point in points:
             try:
                 record = run_experiment(point)
                 writer.writerow([

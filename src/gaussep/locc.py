@@ -109,7 +109,7 @@ def _scheme_i(state, plan, seed):
     means_se = np.full(4, np.nan)
     n = plan.shots_per_group
     for gi, label in enumerate(GROUP_LABELS):
-        rows = sample_wigner(state, n, seed, gi).samples
+        rows = sample_wigner(state, n, seed, gi)
         if label == "C":
             _set_sym(gamma, gamma_se, 0, 1, covariance_and_se(rows[:, 0], rows[:, 1]))
             _set_sym(gamma, gamma_se, 2, 3, covariance_and_se(rows[:, 2], rows[:, 3]))
@@ -134,7 +134,7 @@ def _scheme_ii(state, plan, seed):
     means = np.full(4, np.nan)
     means_se = np.full(4, np.nan)
     n = plan.shots_per_group
-    rows = sample_wigner(state, 4 * n, seed, 0).samples
+    rows = sample_wigner(state, 4 * n, seed, 0)
     choice_rng = derive_rng(seed, 100)
     alice_q = choice_rng.random(4 * n) < 0.5  # True: q1, False: p1
     bob_q = choice_rng.random(4 * n) < 0.5
@@ -156,7 +156,7 @@ def _scheme_ii(state, plan, seed):
         est = mean_and_se(v)
         means[col] = est.value
         means_se[col] = est.std_error
-    sym_rows = sample_wigner(state, n, seed, 1).samples
+    sym_rows = sample_wigner(state, n, seed, 1)
     _set_sym(gamma, gamma_se, 0, 1, covariance_and_se(sym_rows[:, 0], sym_rows[:, 1]))
     _set_sym(gamma, gamma_se, 2, 3, covariance_and_se(sym_rows[:, 2], sym_rows[:, 3]))
     return gamma, means, gamma_se, means_se

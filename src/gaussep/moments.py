@@ -15,15 +15,20 @@ polynomial over samples of the Wigner density converges to.  The
 difference between the two is a commutator correction; for the intensity
 observables used by the interferometric schemes it is a state-independent
 constant, supplied by :func:`ordering_offset`.
+
+:func:`measure` estimates every Stokes and method-3 readout, exactly or
+from Wigner samples.
 """
 
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 
 from .core import GaussianState, symplectic_form
+from .sampling import MomentEstimate, mean_and_se, sample_wigner
 
 Poly = dict[tuple[int, ...], complex]
 
@@ -145,3 +150,32 @@ def evaluate_on_samples(poly: Poly, samples: np.ndarray) -> np.ndarray:
         term *= coeff
         out += term
     return out
+
+
+def measure(readouts, n_shots: int | None = None, seed: int = 0) -> list[MomentEstimate]:
+    """Estimate of the operator product of ``factors`` on the state ``out``
+    for each ``(factors, out, key)`` of ``readouts``: exact when ``n_shots``
+    is None, else the mean of :func:`_per_shot_product` over ``n_shots``
+    Wigner samples drawn on ``(seed, *key)`` plus the product's ordering offset."""
+    estimates = []
+    for factors, out, key in readouts:
+        product = functools.reduce(poly_product, factors)
+        if n_shots is None:
+            value = real_expect_operator(product, out)
+            estimates.append(MomentEstimate(value=value, std_error=0.0, n_shots=0))
+            continue
+        # the previous draw is released only once this one exists, so the
+        # allocator reuses its pages instead of returning them to the
+        # system and faulting them in again for every readout
+        samples = sample_wigner(out, n_shots, seed, *key)
+        est = mean_and_se(_per_shot_product(factors, samples))
+        estimates.append(replace(est, value=est.value + ordering_offset(product, out.n_modes)))
+    return estimates
+
+
+def _per_shot_product(factors: tuple[Poly, ...], samples: np.ndarray) -> np.ndarray:
+    """Per-shot values of the product of ``factors``, each distinct factor
+    evaluated once, so S1^2 is (S1)^2; its arrays die before the next draw."""
+    values = {id(factor): factor for factor in factors}
+    values = {k: evaluate_on_samples(factor, samples) for k, factor in values.items()}
+    return functools.reduce(np.multiply, [values[id(f)] for f in factors])

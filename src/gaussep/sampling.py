@@ -3,7 +3,8 @@
 The Wigner function of a Gaussian state is a proper (nonnegative) normal
 density, so phase-space points can be drawn from it directly; sample
 averages of quadrature polynomials converge to the symmetrized operator
-moments.
+moments.  :func:`sample_wigner` returns the bare read-only sample matrix,
+one row per shot.
 
 Randomness uses numpy's PCG64 generator.  Independent substreams are
 derived from a root seed and an integer key path via
@@ -14,13 +15,12 @@ identical results regardless of scheduling or worker count.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianState, _as_readonly
+from .core import GaussianState
 from .exceptions import InsufficientShotsError, InvalidCovarianceError
 
 EIG_CLAMP_TOL = 1e-10
@@ -31,30 +31,6 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     )
-
-
-@dataclass(frozen=True)
-class ShotBatch:
-    """Matrix of sampled phase-space points with provenance metadata.
-
-    A read-only, float64, 2-D matrix that owns its data (as
-    :func:`sample_wigner` makes) is kept as it is; anything else is copied
-    into one.
-    """
-
-    samples: np.ndarray
-    seed: int
-    key: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        s = self.samples
-        if not (isinstance(s, np.ndarray) and s.ndim == 2 and s.dtype == np.float64
-                and s.flags.owndata and not s.flags.writeable):
-            object.__setattr__(self, "samples", _as_readonly(np.atleast_2d(s)))
-
-    @property
-    def n_shots(self) -> int:
-        return self.samples.shape[0]
 
 
 @dataclass(frozen=True)
@@ -76,10 +52,12 @@ def _cov_sqrt(cov: np.ndarray) -> np.ndarray:
     return U @ np.diag(np.sqrt(np.clip(lam, 0.0, None))) @ U.T
 
 
-def sample_wigner(state: GaussianState, n_shots: int, seed: int, *key: int) -> ShotBatch:
+def sample_wigner(state: GaussianState, n_shots: int, seed: int, *key: int) -> np.ndarray:
     """Draw ``n_shots`` i.i.d. phase-space points from the Wigner density.
 
-    Reproducible bit-exactly from (state, n_shots, seed, key).
+    Returns the read-only (n_shots, 2n) float64 matrix of points, one row
+    per shot in the order (q1, p1, ..., qn, pn).  Reproducible bit-exactly
+    from (state, n_shots, seed, key).
     """
     if n_shots < 1:
         raise InsufficientShotsError(f"n_shots must be >= 1, got {n_shots}")
@@ -89,7 +67,7 @@ def sample_wigner(state: GaussianState, n_shots: int, seed: int, *key: int) -> S
     samples = z @ root.T
     samples += state.means
     samples.setflags(write=False)
-    return ShotBatch(samples=samples, seed=int(seed), key=tuple(key))
+    return samples
 
 
 def mean_and_se(values: np.ndarray) -> MomentEstimate:
@@ -114,14 +92,3 @@ def covariance_and_se(x: np.ndarray, y: np.ndarray) -> MomentEstimate:
     se = float(np.std(prod, ddof=1)) / np.sqrt(n)
     return MomentEstimate(value=cov, std_error=se, n_shots=n)
 
-
-def batch_to_csv(batch: ShotBatch, path) -> None:
-    """Dump samples as CSV with header q1,p1,q2,p2,..."""
-    n_modes = batch.samples.shape[1] // 2
-    header = []
-    for m in range(n_modes):
-        header += [f"q{m + 1}", f"p{m + 1}"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(batch.samples.tolist())

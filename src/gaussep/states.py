@@ -17,11 +17,9 @@ import numpy as np
 from .core import GaussianState, physicality_eigenvalues
 from .exceptions import InvalidCovarianceError, InvalidStateError
 from .transforms import (
-    SymplecticTransform,
     apply_transform,
     displacement,
     embed,
-    phase_shifter,
     single_mode_squeezer,
     two_mode_squeezer,
 )
@@ -65,15 +63,6 @@ class ReferenceStateParams:
                 "n_bar, d and theta must be non-negative, got "
                 f"({self.n_bar}, {self.d}, {self.theta})"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "n_bar": self.n_bar,
-            "d": self.d,
-            "beta": self.beta,
-            "theta": self.theta,
-            "gamma": self.gamma,
-        }
 
 
 @dataclass(frozen=True)
@@ -185,24 +174,30 @@ def _rng_from(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_passive(rng: np.random.Generator, n_modes: int = 2) -> SymplecticTransform:
-    """Random passive (energy-conserving) transform from phase shifters and
-    50-50 beam splitters on a rotated mode pair."""
-    out = embed(phase_shifter(rng.uniform(0, 2 * math.pi)), n_modes, [0])
+def random_passive(rng: np.random.Generator, n_modes: int = 2) -> np.ndarray:
+    """Random passive (energy-conserving) symplectic matrix from phase
+    shifters and 50-50 beam splitters on a rotated mode pair."""
+    def placed(block, modes):
+        out = np.eye(2 * n_modes)
+        idx = [i for m in modes for i in (2 * m, 2 * m + 1)]
+        out[np.ix_(idx, idx)] = block
+        return out
+
+    def shifter(m):
+        phi = rng.uniform(0, 2 * math.pi)
+        c, s = np.cos(phi), np.sin(phi)
+        return placed(np.array([[c, -s], [s, c]]), [m])
+
+    out = shifter(0)
     for m in range(1, n_modes):
-        ps = embed(phase_shifter(rng.uniform(0, 2 * math.pi)), n_modes, [m])
-        out = SymplecticTransform(matrix=ps.matrix @ out.matrix)
+        out = shifter(m) @ out
     for m in range(n_modes - 1):
         theta = rng.uniform(0, 2 * math.pi)
         c, s = math.cos(theta), math.sin(theta)
         eye = np.eye(2)
-        mix = SymplecticTransform(
-            matrix=np.block([[c * eye, -s * eye], [s * eye, c * eye]])
-        )
-        out = SymplecticTransform(matrix=embed(mix, n_modes, [m, m + 1]).matrix @ out.matrix)
+        out = placed(np.block([[c * eye, -s * eye], [s * eye, c * eye]]), [m, m + 1]) @ out
     for m in range(n_modes):
-        ps = embed(phase_shifter(rng.uniform(0, 2 * math.pi)), n_modes, [m])
-        out = SymplecticTransform(matrix=ps.matrix @ out.matrix)
+        out = shifter(m) @ out
     return out
 
 
@@ -226,7 +221,7 @@ def random_state(seed, max_squeeze: float = 1.0, max_thermal: float = 2.0) -> Ga
             rng.uniform(0.0, max_squeeze), rng.uniform(0, 2 * math.pi)
         )
         squeeze = embed(sq, 2, [m]).matrix @ squeeze
-    S = random_passive(rng).matrix @ squeeze @ random_passive(rng).matrix
+    S = random_passive(rng) @ squeeze @ random_passive(rng)
     return GaussianState(means=np.zeros(4), cov=S @ base @ S.T)
 
 

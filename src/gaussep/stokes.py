@@ -35,18 +35,19 @@ moments <{x_i, x_j}>/2 of the signal: readouts = design @ theta + offset.
 A :class:`StokesConfig` solves 14 of its 15 rows with one inverse, and its
 standard errors are exact first-order propagations of readout errors.
 
-The sampled backend propagates signal and references through the network
-symplectics, draws Wigner samples of the output state, averages the same
-intensity polynomials per shot, and adds the analytically derived
-commutator constants so the estimates are unbiased for the operator
-expectations.
+Each network is a fixed list of readouts, each read at one setting (the
+phases of its shifters); the references and the transforms of every
+distinct setting are built once per network, and each setting is
+propagated once per state.  The sampled backend draws Wigner samples of
+the output state, averages the same intensity polynomials per shot, and
+adds the commutator constants that make the estimates unbiased.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,16 +63,8 @@ from .core import (
     tensor_product,
 )
 from .exceptions import ConditioningError, InvalidStateError
-from .moments import (
-    Poly,
-    cross_phase,
-    evaluate_on_samples,
-    ordering_offset,
-    photon_number_difference,
-    poly_product,
-    real_expect_operator,
-)
-from .sampling import MomentEstimate, mean_and_se, sample_wigner
+from .moments import Poly, cross_phase, measure, photon_number_difference
+from .sampling import MomentEstimate
 from .states import (
     ReferenceMoments,
     ReferenceStateParams,
@@ -220,38 +213,47 @@ def s3_expectation(m1, m2, cross, rc: ReferenceMoments, rd: ReferenceMoments,
     return mean_part + 0.5 * (cross.q1p2 - cross.p1q2) + ref_part
 
 
-def _exact(value: float) -> MomentEstimate:
-    return MomentEstimate(value=float(value), std_error=0.0, n_shots=0)
+def _readouts(network) -> tuple[tuple[str, tuple, tuple], ...]:
+    """(observable, phases, setting) of every readout of ``network``, in
+    readout order; a setting is the phases of the network's phase shifters."""
+    if isinstance(network, SingleModeNetwork):
+        s1 = [("S1", (phi,), (phi,)) for phi in network.s1_phases]
+        return tuple(s1 + [("S1sq", (phi,), (phi,)) for phi in network.s1sq_phases])
+    if isinstance(network, TwoModeNetwork):
+        first = (network.phi1, network.phi2_values[0])
+        return (
+            ("S1sq_c", (network.phi1,), first),
+            *(("S1sq_d", (phi2,), (network.phi1, phi2)) for phi2 in network.phi2_values),
+            ("S1xS1", first, first),
+            ("S3", first, first),
+        )
+    raise InvalidStateError(f"unknown network type {type(network).__name__}")
 
 
 def _closed_forms(network, sig, cross) -> list[tuple[str, tuple, float]]:
     """(observable, phases, expectation) of every readout of ``network``,
     from the moments ``sig[k]`` of signal mode k and the cross moments."""
+    readouts = _readouts(network)
     if isinstance(network, SingleModeNetwork):
         m = sig[network.mode]
         ref = reference_moments(network.reference)
-        out = [("S1", (phi,), s1_expectation(m, ref, phi)) for phi in network.s1_phases]
-        out += [("S1sq", (phi,), s1sq_expectation(m, ref, phi)) for phi in network.s1sq_phases]
-        return out
-    if isinstance(network, TwoModeNetwork):
+        forms = {
+            "S1": lambda phi: s1_expectation(m, ref, phi),
+            "S1sq": lambda phi: s1sq_expectation(m, ref, phi),
+        }
+    else:
         m1, m2 = sig
         rc = reference_moments(network.ref_c)
         rd = reference_moments(network.ref_d)
-        phi1 = network.phi1
-        phi2a = network.phi2_values[0]
         minus_arm = _arm_moments(m1, m2, cross, -1)
         plus_arm = _arm_moments(m1, m2, cross, +1)
-        out = [("S1sq_c", (phi1,), s1sq_expectation(minus_arm, rc, phi1))]
-        out += [
-            ("S1sq_d", (phi2,), s1sq_expectation(plus_arm, rd, phi2))
-            for phi2 in network.phi2_values
-        ]
-        out.append(
-            ("S1xS1", (phi1, phi2a), s1xs1_expectation(m1, m2, cross, rc, rd, phi1, phi2a))
-        )
-        out.append(("S3", (phi1, phi2a), s3_expectation(m1, m2, cross, rc, rd, phi1, phi2a)))
-        return out
-    raise InvalidStateError(f"unknown network type {type(network).__name__}")
+        forms = {
+            "S1sq_c": lambda phi1: s1sq_expectation(minus_arm, rc, phi1),
+            "S1sq_d": lambda phi2: s1sq_expectation(plus_arm, rd, phi2),
+            "S1xS1": lambda phi1, phi2: s1xs1_expectation(m1, m2, cross, rc, rd, phi1, phi2),
+            "S3": lambda phi1, phi2: s3_expectation(m1, m2, cross, rc, rd, phi1, phi2),
+        }
+    return [(name, phases, forms[name](*phases)) for name, phases, _ in readouts]
 
 
 def expect_stokes(network, state: GaussianState) -> list[StokesReadout]:
@@ -262,35 +264,60 @@ def expect_stokes(network, state: GaussianState) -> list[StokesReadout]:
     raw = state.cov + np.outer(state.means, state.means)
     sig, cross = _moment_objects(state.means.tolist(), raw.tolist())
     return [
-        StokesReadout(name, phases, _exact(value))
+        StokesReadout(name, phases, MomentEstimate(value=float(value), std_error=0.0, n_shots=0))
         for name, phases, value in _closed_forms(network, sig, cross)
     ]
 
 
 # ---------------------------------------------------------------------------
 # network propagation: the joint output state and the output-mode
-# polynomial for each readout; exact oracle and engine of the sampled backend
+# polynomial for each readout; exact oracle and engine of the sampled
+# backend.  The reference state and each setting's steps are built once
+# per network; per state, each setting applies its steps in order, once.
 # ---------------------------------------------------------------------------
 
-def _single_mode_output(network: SingleModeNetwork, state: GaussianState,
-                        phi: float) -> GaussianState:
-    signal = partial_trace(state, [network.mode]) if state.n_modes > 1 else state
-    joint = tensor_product(signal, displaced_squeezed_thermal(network.reference))
-    joint = apply_transform(joint, embed(phase_shifter(phi), 2, [1]))
-    return apply_transform(joint, beam_splitter_50_50())
+@functools.lru_cache(maxsize=256)
+def _settings(network) -> tuple[GaussianState, tuple[tuple[tuple, tuple], ...]]:
+    """The reference state and (setting, network steps) of each distinct
+    setting; shared by every caller, so immutable."""
+    readouts = _readouts(network)
+    if isinstance(network, SingleModeNetwork):
+        reference = displaced_squeezed_thermal(network.reference)
+        return reference, tuple({
+            (phi,): (embed(phase_shifter(phi), 2, [1]), beam_splitter_50_50())
+            for _, _, (phi,) in readouts
+        }.items())
+    refs = (network.ref_c, network.ref_d)
+    reference = tensor_product(*(displaced_squeezed_thermal(ref) for ref in refs))
+    # beam splitter 1 on the signal modes, the phase shifters on references c
+    # and d, then arm b- meets c (outputs a3 = mode 0, a4 = mode 2) and arm
+    # b+ meets d (outputs a5 = mode 1, a6 = mode 3)
+    return reference, tuple({
+        (phi1, phi2): (
+            embed(beam_splitter_50_50(), 4, [0, 1]),
+            embed(phase_shifter(phi1), 4, [2]),
+            embed(phase_shifter(phi2), 4, [3]),
+            embed(beam_splitter_50_50(), 4, [0, 2]),
+            embed(beam_splitter_50_50(), 4, [1, 3]),
+        )
+        for _, _, (phi1, phi2) in readouts
+    }.items())
 
 
-def _two_mode_output(network: TwoModeNetwork, state: GaussianState,
-                     phi1: float, phi2: float) -> GaussianState:
-    joint = tensor_product(state, displaced_squeezed_thermal(network.ref_c))
-    joint = tensor_product(joint, displaced_squeezed_thermal(network.ref_d))
-    joint = apply_transform(joint, embed(beam_splitter_50_50(), 4, [0, 1]))
-    joint = apply_transform(joint, embed(phase_shifter(phi1), 4, [2]))
-    joint = apply_transform(joint, embed(phase_shifter(phi2), 4, [3]))
-    # arm b- with reference c: outputs a3 (mode 0) and a4 (mode 2)
-    joint = apply_transform(joint, embed(beam_splitter_50_50(), 4, [0, 2]))
-    # arm b+ with reference d: outputs a5 (mode 1) and a6 (mode 3)
-    return apply_transform(joint, embed(beam_splitter_50_50(), 4, [1, 3]))
+def _outputs(network, state: GaussianState) -> list[GaussianState]:
+    """The output state of every readout, in readout order; readouts that
+    share a setting share the object."""
+    readouts = _readouts(network)
+    if isinstance(network, TwoModeNetwork):
+        require_two_modes(state)
+    elif state.n_modes > 1:
+        state = partial_trace(state, [network.mode])
+    reference, settings = _settings(network)
+    joint = tensor_product(state, reference)
+    outputs = {
+        setting: functools.reduce(apply_transform, steps, joint) for setting, steps in settings
+    }
+    return [outputs[setting] for _, _, setting in readouts]
 
 
 _S1_SINGLE: Poly = photon_number_difference(1, 0)
@@ -308,34 +335,18 @@ _FACTORS: dict[str, tuple[Poly, ...]] = {
     "S1xS1": (_S1_ARM_C, _S1_ARM_D),
     "S3": (_S3,),
 }
-# expanded products, for exact expectations and ordering offsets
-_EXPANDED: dict[str, Poly] = {
-    name: functools.reduce(poly_product, factors) for name, factors in _FACTORS.items()
-}
 
 
-def _readout_programs(network, state: GaussianState):
-    """(readout id, output state) for every readout."""
-    if isinstance(network, SingleModeNetwork):
-        programs = []
-        for phi in network.s1_phases:
-            programs.append((("S1", (phi,)), _single_mode_output(network, state, phi)))
-        for phi in network.s1sq_phases:
-            programs.append((("S1sq", (phi,)), _single_mode_output(network, state, phi)))
-        return programs
-    if isinstance(network, TwoModeNetwork):
-        require_two_modes(state)
-        phi1 = network.phi1
-        phi2a = network.phi2_values[0]
-        first = _two_mode_output(network, state, phi1, phi2a)
-        programs = [(("S1sq_c", (phi1,)), first)]
-        for phi2 in network.phi2_values:
-            out = first if phi2 == phi2a else _two_mode_output(network, state, phi1, phi2)
-            programs.append((("S1sq_d", (phi2,)), out))
-        programs.append((("S1xS1", (phi1, phi2a)), first))
-        programs.append((("S3", (phi1, phi2a)), first))
-        return programs
-    raise InvalidStateError(f"unknown network type {type(network).__name__}")
+def _measured(network, state: GaussianState, n_shots: int | None = None, seed: int = 0,
+              *key: int) -> list[StokesReadout]:
+    """Every readout of ``network`` through :func:`measure`; readout
+    ``index`` draws on the substream ``(seed, *key, index)``."""
+    require_valid(state)
+    readouts = _readouts(network)
+    programs = enumerate(zip(readouts, _outputs(network, state)))
+    jobs = [(_FACTORS[name], out, (*key, index)) for index, ((name, _, _), out) in programs]
+    estimates = zip(readouts, measure(jobs, n_shots, seed))
+    return [StokesReadout(name, phases, est) for (name, phases, _), est in estimates]
 
 
 def propagated_expectations(network, state: GaussianState) -> list[StokesReadout]:
@@ -343,35 +354,15 @@ def propagated_expectations(network, state: GaussianState) -> list[StokesReadout
 
     Independent of :func:`expect_stokes`; the two must agree exactly.
     """
-    require_valid(state)
-    return [
-        StokesReadout(name, phases, _exact(real_expect_operator(_EXPANDED[name], out)))
-        for (name, phases), out in _readout_programs(network, state)
-    ]
-
-
-def _sampled_values(factors: tuple[Poly, ...], samples: np.ndarray) -> np.ndarray:
-    """Per-shot readout values: each distinct factor is evaluated once and
-    the factors are multiplied shot by shot, so S1^2 is (S1)^2."""
-    values = evaluate_on_samples(factors[0], samples)
-    if len(factors) == 2:
-        square = factors[1] is factors[0]
-        values *= values if square else evaluate_on_samples(factors[1], samples)
-    return values
+    return _measured(network, state)
 
 
 def sample_stokes(network, state: GaussianState, n_shots: int, seed: int,
                   *key: int) -> list[StokesReadout]:
     """Monte Carlo readouts: Wigner-sampled polynomial averages plus the
-    commutator constants that make them unbiased operator estimates."""
-    require_valid(state)
-    readouts = []
-    for index, ((name, phases), out) in enumerate(_readout_programs(network, state)):
-        batch = sample_wigner(out, n_shots, seed, *key, index)
-        est = mean_and_se(_sampled_values(_FACTORS[name], batch.samples))
-        offset = ordering_offset(_EXPANDED[name], out.n_modes)
-        readouts.append(StokesReadout(name, phases, replace(est, value=est.value + offset)))
-    return readouts
+    commutator constants that make them unbiased operator estimates.
+    Readout ``index`` draws on the substream ``(seed, *key, index)``."""
+    return _measured(network, state, n_shots, seed, *key)
 
 
 # ---------------------------------------------------------------------------

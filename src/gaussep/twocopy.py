@@ -30,6 +30,7 @@ separability report with a propagated margin error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -58,14 +59,8 @@ from .exceptions import (
     InvalidStateError,
     SimonTypeMismatchError,
 )
-from .moments import (
-    cross_intensity,
-    cross_phase,
-    evaluate_on_samples,
-    ordering_offset,
-    real_expect_operator,
-)
-from .sampling import covariance_and_se, derive_rng, mean_and_se, sample_wigner
+from .moments import cross_intensity, cross_phase, measure
+from .sampling import covariance_and_se, derive_rng, sample_wigner
 from .states import ReferenceStateParams
 from .stokes import SingleModeNetwork, network_design, sample_stokes
 from .transforms import apply_transform, embed, opa, rotation_theta, SymplecticTransform
@@ -85,17 +80,6 @@ class SwapTestResult:
     det_se: float
     n_shots: int
     n_modes: int
-
-    def to_dict(self) -> dict:
-        return {
-            "p_plus": self.p_plus,
-            "purity_hat": self.purity_hat,
-            "purity_std_error": self.purity_se,
-            "det_hat": self.det_hat,
-            "det_std_error": self.det_se,
-            "n_shots": self.n_shots,
-            "n_modes": self.n_modes,
-        }
 
 
 def swap_test(state: GaussianState, n_shots: int, seed: int, *key: int) -> SwapTestResult:
@@ -143,16 +127,6 @@ class CMatrixEstimate:
     n_shots: int
     method: str
 
-    def to_dict(self) -> dict:
-        return {
-            "c_hat": self.c_hat.tolist(),
-            "c_std_errors": self.c_se.tolist(),
-            "det_c": self.det_c,
-            "det_c_std_error": self.det_c_se,
-            "n_shots": self.n_shots,
-            "method": self.method,
-        }
-
 
 def _det2_and_se(c: np.ndarray, se: np.ndarray) -> tuple[float, float]:
     det = float(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0])
@@ -169,7 +143,7 @@ def method1_c(state: GaussianState, n_shots: int, seed: int) -> CMatrixEstimate:
     """Random local quadrature pairs; matching subsets give the C entries."""
     require_two_modes(state)
     require_valid(state)
-    rows = sample_wigner(state, n_shots, seed, 0).samples
+    rows = sample_wigner(state, n_shots, seed, 0)
     rng = derive_rng(seed, 1)
     alice_q = rng.random(n_shots) < 0.5
     bob_q = rng.random(n_shots) < 0.5
@@ -201,9 +175,6 @@ class Method2Result:
     s: float
     t: float
     candidates: tuple
-
-    def to_dict(self) -> dict:
-        return {"det_c": self.det_c, "s": self.s, "t": self.t}
 
 
 def method2_det_c(det_a: float, det_b: float, det_gamma: float,
@@ -371,17 +342,16 @@ class OpaParams:
         k = self.constants
         return np.array([[k["m1p"], k["n1p"]], [k["m2p"], k["n2p"]]])
 
-    def to_dict(self) -> dict:
-        return {"g1": self.g1, "phi1": self.phi1, "g2": self.g2, "phi2": self.phi2}
 
-
-def _two_copy_output(state: GaussianState, params: OpaParams) -> GaussianState:
-    """rho (x) rho with Alice's OPA on the two copies of mode 1 and Bob's
-    on the two copies of mode 2.  Mode order (1, 2, 1', 2'); amplifier
-    outputs live in slots (A4, B4, A3, B3)."""
-    both = tensor_product(state, state)
-    both = apply_transform(both, embed(opa(params.g1, params.phi1), 4, [0, 2]))
-    return apply_transform(both, embed(opa(params.g2, params.phi2), 4, [1, 3]))
+@functools.lru_cache(maxsize=64)
+def _opa_steps(params: OpaParams) -> tuple[SymplecticTransform, SymplecticTransform]:
+    """Alice's OPA on the two copies of mode 1 and Bob's on the two copies
+    of mode 2, on the mode order (1, 2, 1', 2'); built once per params.
+    The amplifier outputs live in slots (A4, B4, A3, B3)."""
+    return (
+        embed(opa(params.g1, params.phi1), 4, [0, 2]),
+        embed(opa(params.g2, params.phi2), 4, [1, 3]),
+    )
 
 
 # observables on the amplified four-mode state; slots: A4=0, B4=1, A3=2, B3=3
@@ -437,19 +407,13 @@ def method3_c(state: GaussianState, params: OpaParams | None = None,
         state = apply_transform(
             state, SymplecticTransform(matrix=np.eye(4), shift=-means_hat)
         )
-    out = _two_copy_output(state, params)
-    values = np.zeros(4)
-    errors = np.zeros(4)
-    if n_shots is None:
-        for i, poly in enumerate(_OPA_POLYS):
-            values[i] = real_expect_operator(poly, out)
-    else:
-        for i, poly in enumerate(_OPA_POLYS):
-            batch = sample_wigner(out, n_shots, seed, 20 + i)
-            est = mean_and_se(evaluate_on_samples(poly, batch.samples))
-            values[i] = est.value + ordering_offset(poly, 4)
-            errors[i] = est.std_error
-            shots_used += n_shots
+    # rho (x) rho through both amplifiers
+    out = functools.reduce(apply_transform, _opa_steps(params), tensor_product(state, state))
+    estimates = measure([((poly,), out, (20 + i,)) for i, poly in enumerate(_OPA_POLYS)],
+                        n_shots, seed)
+    values = np.array([est.value for est in estimates])
+    errors = np.array([est.std_error for est in estimates])
+    shots_used += sum(est.n_shots for est in estimates)
     sum_sys = params.sum_system()
     diff_sys = params.diff_system()
     u_plus, v_minus = np.linalg.solve(sum_sys, values[:2])

@@ -207,7 +207,7 @@ def test_criterion_7_reference_state_moments():
         )
         state = displaced_squeezed_thermal(params)
         m = reference_moments(params)
-        rows = sample_wigner(state, n, 555 + draw).samples
+        rows = sample_wigner(state, n, 555 + draw)
         checks = [
             (rows[:, 0], m.q_mean),
             (rows[:, 1], m.p_mean),

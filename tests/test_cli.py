@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gaussep import two_mode_squeezed_vacuum, vacuum, GaussianState
-from gaussep.cli import main, validate_config
+from gaussep.cli import main, run_experiment, validate_config
 from gaussep.exceptions import InvalidStateError
 from gaussep.io import load_state, save_state, state_from_spec
 
@@ -242,6 +242,10 @@ class TestSimulate:
         assert "scheme failed" in capsys.readouterr().err
 
 
+_SWEEP_BASE = {"state": {"kind": "tmsv", "params": {"r": 0.5}}, "scheme": "analytic",
+               "shots": 1000, "seed": 0}
+
+
 class TestSweep:
     def test_shots_axis(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
@@ -333,6 +337,48 @@ class TestSweep:
         )
         lines = (tmp_path / "sweep_shots.csv").read_text().strip().splitlines()
         assert len(lines) == 1
+
+
+    @pytest.mark.parametrize(
+        "axis, values, config, named",
+        [
+            ("shots", "nan", _SWEEP_BASE, "--values"),
+            ("shots", "inf", _SWEEP_BASE, "--values"),
+            ("shots", "2.5", _SWEEP_BASE, "--values"),
+            ("shots", "1000,x", _SWEEP_BASE, "--values"),
+            ("squeeze", "nan", _SWEEP_BASE, "--values"),
+            ("squeeze", "0.5", {**_SWEEP_BASE, "state": 5}, "state"),
+            ("squeeze", "0.5", {k: v for k, v in _SWEEP_BASE.items() if k != "state"}, "state"),
+            ("squeeze", "0.5", [_SWEEP_BASE], "config must be a JSON object"),
+            ("squeeze", "0.5", {**_SWEEP_BASE, "state": {"kind": "tmsv", "params": 3}},
+             "state.params"),
+            ("squeeze", "0.5", {**_SWEEP_BASE, "shots": 2.5}, "shots"),
+        ],
+        ids=["nan", "inf", "fraction", "word", "squeeze-nan", "state-number", "no-state",
+             "config-list", "params-number", "shots-fraction"],
+    )
+    def test_malformed_input_exit_three(self, tmp_path, capsys, axis, values, config, named):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["sweep", "--config", str(cfg), "--axis", axis, "--values", values,
+                "--output-dir", str(tmp_path)]
+        assert main(argv) == 3
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / f"sweep_{axis}.csv").exists()
+
+    def test_exponent_shot_count(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"state": {"kind": "tmsv", "params": {"r": 0.5}},
+                                   "scheme": "stokes", "shots": 10, "seed": 0}))
+        argv = ["sweep", "--config", str(cfg), "--axis", "shots", "--values", "1e3",
+                "--output-dir", str(tmp_path)]
+        assert main(argv) == 0
+        with open(tmp_path / "sweep_shots.csv") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["value"] == "1000.0" and row["error"] == ""
+        expected = run_experiment({"state": {"kind": "tmsv", "params": {"r": 0.5}},
+                                   "scheme": "stokes", "shots": 1000, "seed": 0})
+        assert row["margin_est"] == repr(expected["estimate"]["margin"])
 
 
 class TestRandtest:

@@ -102,8 +102,8 @@ def test_sampled_average_converges_to_symmetrized():
 
     state = two_mode_squeezed_vacuum(0.4)
     poly = poly_product(photon_number_difference(1, 0), photon_number_difference(1, 0))
-    batch = sample_wigner(state, 200000, 11)
-    vals = evaluate_on_samples(poly, batch.samples)
+    samples = sample_wigner(state, 200000, 11)
+    vals = evaluate_on_samples(poly, samples)
     target = expect_symmetrized(poly, state)
     se = np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert abs(np.mean(vals) - target) < 5 * se

@@ -5,24 +5,30 @@ Each test fails if a draw or an evaluation order drifts, so a change that
 moves random streams or sampled output bytes shows up here first.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from gaussep import StokesConfig, sample_stokes, sample_wigner
-from gaussep import moments, sampling
+from gaussep import StokesConfig, sample_stokes, sample_wigner, tensor_product, vacuum
+from gaussep import core, moments, sampling
 from gaussep.moments import (
     cross_phase,
     evaluate_on_samples,
+    measure,
     ordering_offset,
     photon_number_difference,
     poly_product,
+    real_expect_operator,
 )
-from gaussep.sampling import ShotBatch, derive_rng
-from gaussep.stokes import _EXPANDED, _FACTORS, _readout_programs, _sampled_values
+from gaussep.sampling import derive_rng
+from gaussep.stokes import _FACTORS, _outputs, _readouts
 from gaussep.twocopy import _OPA_POLYS
 from conftest import random_signal_state
+
+# the operator product of each readout's factors
+_EXPANDED = {name: functools.reduce(poly_product, factors) for name, factors in _FACTORS.items()}
 
 
 def reference_evaluate(poly, samples):
@@ -47,6 +53,16 @@ def stokes_and_method3_polys():
     return polys
 
 
+def measured_per_shot(monkeypatch, factors, samples):
+    """The per-shot values that ``measure`` averages, on ``samples``."""
+    seen = []
+    monkeypatch.setattr(moments, "sample_wigner", lambda *args: samples)
+    monkeypatch.setattr(moments, "mean_and_se",
+                        lambda values: seen.append(values) or sampling.mean_and_se(values))
+    measure([(factors, vacuum(samples.shape[1] // 2), ())], samples.shape[0])
+    return seen[0]
+
+
 @pytest.fixture
 def samples():
     rng = np.random.default_rng(2024)
@@ -60,8 +76,8 @@ def test_evaluate_on_samples_bit_identical_to_reference_loop(samples):
 
 
 @pytest.mark.parametrize("name", ["S1sq", "S1sq_c", "S1sq_d", "S1xS1"])
-def test_factored_product_matches_expanded_polynomial(samples, name):
-    factored = _sampled_values(_FACTORS[name], samples)
+def test_factored_product_matches_expanded_polynomial(samples, name, monkeypatch):
+    factored = measured_per_shot(monkeypatch, _FACTORS[name], samples)
     expanded = evaluate_on_samples(_EXPANDED[name], samples)
     scale = np.max(np.abs(expanded))
     assert np.max(np.abs(factored - expanded)) <= 1e-12 * scale
@@ -69,9 +85,12 @@ def test_factored_product_matches_expanded_polynomial(samples, name):
 
 
 def test_expanded_polynomials_are_products_of_factors():
+    rng = np.random.default_rng(3)
+    out = tensor_product(random_signal_state(rng), random_signal_state(rng))
     for name, factors in _FACTORS.items():
         expected = factors[0] if len(factors) == 1 else poly_product(*factors)
         assert _EXPANDED[name] == expected
+        assert measure([(factors, out, ())])[0].value == real_expect_operator(expected, out)
 
 
 @pytest.mark.parametrize("network_index", [0, 2])
@@ -80,10 +99,10 @@ def test_sample_stokes_equals_expanded_evaluation_on_same_draws(network_index):
     network = StokesConfig().networks()[network_index]
     n_shots, seed, key = 4000, 17, (network_index,)
     readouts = sample_stokes(network, state, n_shots, seed, *key)
-    programs = _readout_programs(network, state)
+    programs = list(zip(_readouts(network), _outputs(network, state)))
     assert len(readouts) == len(programs)
-    for index, (r, ((name, phases), out)) in enumerate(zip(readouts, programs)):
-        rows = sample_wigner(out, n_shots, seed, *key, index).samples
+    for index, (r, ((name, phases, _), out)) in enumerate(zip(readouts, programs)):
+        rows = sample_wigner(out, n_shots, seed, *key, index)
         values = evaluate_on_samples(_EXPANDED[name], rows)
         expected = float(np.mean(values)) + ordering_offset(_EXPANDED[name], out.n_modes)
         expected_se = float(np.std(values, ddof=1)) / math.sqrt(n_shots)
@@ -99,7 +118,7 @@ def test_sample_wigner_equals_hand_built_draw():
     root = u @ np.diag(np.sqrt(np.clip(lam, 0.0, None))) @ u.T
     z = derive_rng(seed, *key).standard_normal(size=(n_shots, state.means.size))
     expected = state.means + z @ root.T
-    got = sample_wigner(state, n_shots, seed, *key).samples
+    got = sample_wigner(state, n_shots, seed, *key)
     assert got.tobytes() == expected.tobytes()
 
 
@@ -107,39 +126,12 @@ def test_fresh_samples_are_read_only_and_not_copied(monkeypatch):
     def no_copy(a):
         raise AssertionError("sample_wigner copied its own sample matrix")
 
-    monkeypatch.setattr(sampling, "_as_readonly", no_copy)
-    batch = sample_wigner(random_signal_state(np.random.default_rng(1)), 100, 9)
-    assert not batch.samples.flags.writeable
-    assert batch.samples.flags.owndata
-    assert batch.samples.dtype == np.float64 and batch.samples.shape == (100, 4)
-
-
-def test_read_only_owned_matrix_is_kept():
-    a = np.ones((6, 2))
-    a.setflags(write=False)
-    assert ShotBatch(a, seed=0).samples is a
-
-
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: np.arange(12.0).reshape(6, 2),                     # writeable
-        lambda: np.arange(24.0).reshape(6, 4)[:, :2],              # a view
-        lambda: np.arange(12, dtype=np.float32).reshape(6, 2),     # float32
-        lambda: np.arange(4.0),                                    # 1-D
-    ],
-)
-def test_outside_arrays_are_copied(make):
-    a = make()
-    batch = ShotBatch(a, seed=0)
-    assert batch.samples is not a
-    assert not batch.samples.flags.writeable
-    assert batch.samples.dtype == np.float64 and batch.samples.ndim == 2
-    assert np.array_equal(batch.samples, np.atleast_2d(a))
-    if a.flags.writeable:
-        before = batch.samples.copy()
-        a[...] = -1
-        assert np.array_equal(batch.samples, before)
+    state = random_signal_state(np.random.default_rng(1))
+    monkeypatch.setattr(core, "_as_readonly", no_copy)
+    samples = sample_wigner(state, 100, 9)
+    assert not samples.flags.writeable
+    assert samples.flags.owndata
+    assert samples.dtype == np.float64 and samples.shape == (100, 4)
 
 
 def test_ordering_offset_remembered_per_polynomial_and_mode_count(monkeypatch):

@@ -10,6 +10,7 @@ from gaussep import (
     InvalidStateError,
     ReferenceStateParams,
     SingleModeNetwork,
+    SymplecticTransform,
     TwoModeNetwork,
     Verdict,
     apply_transform,
@@ -28,6 +29,8 @@ from gaussep.core import margin_of
 from gaussep.stokes import (
     SingleModeMoments,
     StokesConfig,
+    _outputs,
+    _readouts,
     moment_vector,
     network_design,
     reconstruct,
@@ -98,6 +101,56 @@ class TestAnalyticAgainstPropagated:
         net = SingleModeNetwork(reference=ReferenceStateParams(d=0.0, theta=0.0))
         values = {r.phases: r.value.value for r in expect_stokes(net, vacuum(1)) if r.observable == "S1sq"}
         assert values[(math.pi / 4,)] == pytest.approx(0.0, abs=1e-14)
+
+
+_SHARED_SETTINGS = (
+    *StokesConfig().networks(),
+    # S1 and S1^2 read at disjoint phases: five settings, one per readout
+    SingleModeNetwork(mode=1, s1_phases=(0.1, 1.3), s1sq_phases=(0.4, 2.0, 2.9)),
+    # equal phi2 values: every readout shares one setting
+    TwoModeNetwork(phi1=0.3, phi2_values=(0.7, 0.7)),
+)
+
+
+class TestNetworkSettings:
+    """Each network's settings are built once; per state each distinct
+    setting is propagated once."""
+
+    @pytest.mark.parametrize("network", _SHARED_SETTINGS)
+    def test_closed_forms_match_propagation(self, network):
+        state = random_signal_state(np.random.default_rng(300))
+        analytic = expect_stokes(network, state)
+        direct = propagated_expectations(network, state)
+        assert [(r.observable, r.phases) for r in analytic] == [
+            (r.observable, r.phases) for r in direct
+        ]
+        for a, b in zip(analytic, direct):
+            assert a.value.value == pytest.approx(b.value.value, abs=1e-10), a.observable
+
+    @pytest.mark.parametrize("network", _SHARED_SETTINGS)
+    def test_readouts_sharing_a_setting_share_the_output_state(self, network):
+        state = random_signal_state(np.random.default_rng(301))
+        readouts = list(zip(_readouts(network), _outputs(network, state)))
+        for (_, _, setting_a), out_a in readouts:
+            for (_, _, setting_b), out_b in readouts:
+                assert (out_a is out_b) == (setting_a == setting_b)
+
+    @pytest.mark.parametrize(
+        "run",
+        [propagated_expectations, lambda net, state: sample_stokes(net, state, 50, 3)],
+        ids=["propagated", "sampled"],
+    )
+    @pytest.mark.parametrize("network", _SHARED_SETTINGS[2:])
+    def test_second_call_builds_no_transform(self, monkeypatch, run, network):
+        state = random_signal_state(np.random.default_rng(302))
+        first = run(network, state)
+
+        def rebuilt(self):
+            raise AssertionError("a network transform was built again")
+
+        monkeypatch.setattr(SymplecticTransform, "__post_init__", rebuilt)
+        second = run(network, state)
+        assert [r.value for r in second] == [r.value for r in first]
 
 
 class TestSampledBackend:
