@@ -59,6 +59,8 @@ SCHEMES = (
 )
 
 _CONFIG_KEYS = {"state", "scheme", "shots", "seed", "scheme_params", "output_dir"}
+# the most rows an 8-column float64 draw can have: numpy sizes arrays in intp bytes
+_MAX_SHOTS = np.iinfo(np.intp).max // 64
 
 
 def _fail(message: str, code: int) -> int:
@@ -80,8 +82,8 @@ def validate_config(config: dict) -> dict:
             f"unknown scheme {config['scheme']!r}; expected one of {SCHEMES}"
         )
     shots, seed = config["shots"], config["seed"]
-    if isinstance(shots, bool) or not isinstance(shots, int) or shots < 1:
-        raise InvalidStateError("shots must be a positive integer")
+    if isinstance(shots, bool) or not isinstance(shots, int) or not 1 <= shots <= _MAX_SHOTS:
+        raise InvalidStateError(f"shots must be a positive integer of at most {_MAX_SHOTS}")
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise InvalidStateError("seed must be an integer")
     params = config.get("scheme_params", {}) or {}

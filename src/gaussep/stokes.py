@@ -38,9 +38,11 @@ standard errors are exact first-order propagations of readout errors.
 Each network is a fixed list of readouts, each read at one setting (the
 phases of its shifters); the references and the transforms of every
 distinct setting are built once per network, and each setting is
-propagated once per state.  The sampled backend draws Wigner samples of
-the output state, averages the same intensity polynomials per shot, and
-adds the commutator constants that make the estimates unbiased.
+propagated once per state.  Each readout is a quadratic form in the
+output quadratures, or the product of two (:mod:`gaussep.moments`); the
+sampled backend draws Wigner samples of the output state, averages the
+same forms per shot, and adds the commutator constants that make the
+estimates unbiased.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from .core import (
     tensor_product,
 )
 from .exceptions import ConditioningError, InvalidStateError
-from .moments import Poly, cross_phase, measure, photon_number_difference
+from .moments import cross_phase, measure, photon_number_difference, product
 from .sampling import MomentEstimate
 from .states import (
     ReferenceMoments,
@@ -270,8 +272,8 @@ def expect_stokes(network, state: GaussianState) -> list[StokesReadout]:
 
 
 # ---------------------------------------------------------------------------
-# network propagation: the joint output state and the output-mode
-# polynomial for each readout; exact oracle and engine of the sampled
+# network propagation: the joint output state and the quadratic-form
+# product for each readout; exact oracle and engine of the sampled
 # backend.  The reference state and each setting's steps are built once
 # per network; per state, each setting applies its steps in order, once.
 # ---------------------------------------------------------------------------
@@ -320,20 +322,20 @@ def _outputs(network, state: GaussianState) -> list[GaussianState]:
     return [outputs[setting] for _, _, setting in readouts]
 
 
-_S1_SINGLE: Poly = photon_number_difference(1, 0)
-_S1_ARM_C: Poly = photon_number_difference(2, 0)
-_S1_ARM_D: Poly = photon_number_difference(3, 1)
+_S1_SINGLE = photon_number_difference(1, 0)
+_S1_ARM_C = photon_number_difference(2, 0)
+_S1_ARM_D = photon_number_difference(3, 1)
 # S3 = i(a6^dag a3 - a3^dag a6); a3 is output mode 0, a6 is output mode 3
-_S3: Poly = cross_phase(3, 0)
+_S3 = cross_phase(3, 0)
 
 # every readout is one quadratic factor or the operator product of two
-_FACTORS: dict[str, tuple[Poly, ...]] = {
-    "S1": (_S1_SINGLE,),
-    "S1sq": (_S1_SINGLE, _S1_SINGLE),
-    "S1sq_c": (_S1_ARM_C, _S1_ARM_C),
-    "S1sq_d": (_S1_ARM_D, _S1_ARM_D),
-    "S1xS1": (_S1_ARM_C, _S1_ARM_D),
-    "S3": (_S3,),
+_PRODUCTS = {
+    "S1": product(_S1_SINGLE),
+    "S1sq": product(_S1_SINGLE, _S1_SINGLE),
+    "S1sq_c": product(_S1_ARM_C, _S1_ARM_C),
+    "S1sq_d": product(_S1_ARM_D, _S1_ARM_D),
+    "S1xS1": product(_S1_ARM_C, _S1_ARM_D),
+    "S3": product(_S3),
 }
 
 
@@ -344,7 +346,7 @@ def _measured(network, state: GaussianState, n_shots: int | None = None, seed: i
     require_valid(state)
     readouts = _readouts(network)
     programs = enumerate(zip(readouts, _outputs(network, state)))
-    jobs = [(_FACTORS[name], out, (*key, index)) for index, ((name, _, _), out) in programs]
+    jobs = [(_PRODUCTS[name], out, (*key, index)) for index, ((name, _, _), out) in programs]
     estimates = zip(readouts, measure(jobs, n_shots, seed))
     return [StokesReadout(name, phases, est) for (name, phases, _), est in estimates]
 
@@ -359,7 +361,7 @@ def propagated_expectations(network, state: GaussianState) -> list[StokesReadout
 
 def sample_stokes(network, state: GaussianState, n_shots: int, seed: int,
                   *key: int) -> list[StokesReadout]:
-    """Monte Carlo readouts: Wigner-sampled polynomial averages plus the
+    """Monte Carlo readouts: Wigner-sampled per-shot averages plus the
     commutator constants that make them unbiased operator estimates.
     Readout ``index`` draws on the substream ``(seed, *key, index)``."""
     return _measured(network, state, n_shots, seed, *key)

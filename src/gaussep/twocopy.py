@@ -59,7 +59,7 @@ from .exceptions import (
     InvalidStateError,
     SimonTypeMismatchError,
 )
-from .moments import cross_intensity, cross_phase, measure
+from .moments import cross_intensity, cross_phase, measure, product
 from .sampling import covariance_and_se, derive_rng, sample_wigner
 from .states import ReferenceStateParams
 from .stokes import SingleModeNetwork, network_design, sample_stokes
@@ -355,11 +355,11 @@ def _opa_steps(params: OpaParams) -> tuple[SymplecticTransform, SymplecticTransf
 
 
 # observables on the amplified four-mode state; slots: A4=0, B4=1, A3=2, B3=3
-_OPA_POLYS = (
-    cross_phase(2, 3),      # i(A3^dag B3 - B3^dag A3)
-    cross_intensity(2, 3),  # A3^dag B3 + B3^dag A3
-    cross_phase(2, 1),      # i(A3^dag B4 - B4^dag A3)
-    cross_intensity(2, 1),  # A3^dag B4 + B4^dag A3
+_OPA_PRODUCTS = (
+    product(cross_phase(2, 3)),      # i(A3^dag B3 - B3^dag A3)
+    product(cross_intensity(2, 3)),  # A3^dag B3 + B3^dag A3
+    product(cross_phase(2, 1)),      # i(A3^dag B4 - B4^dag A3)
+    product(cross_intensity(2, 1)),  # A3^dag B4 + B4^dag A3
 )
 
 
@@ -404,12 +404,10 @@ def method3_c(state: GaussianState, params: OpaParams | None = None,
                 state, n_shots, seed, ReferenceStateParams(d=1.0, theta=0.2)
             )
             shots_used += 4 * n_shots
-        state = apply_transform(
-            state, SymplecticTransform(matrix=np.eye(4), shift=-means_hat)
-        )
+        state = GaussianState(means=state.means - means_hat, cov=state.cov)
     # rho (x) rho through both amplifiers
     out = functools.reduce(apply_transform, _opa_steps(params), tensor_product(state, state))
-    estimates = measure([((poly,), out, (20 + i,)) for i, poly in enumerate(_OPA_POLYS)],
+    estimates = measure([(readout, out, (20 + i,)) for i, readout in enumerate(_OPA_PRODUCTS)],
                         n_shots, seed)
     values = np.array([est.value for est in estimates])
     errors = np.array([est.std_error for est in estimates])

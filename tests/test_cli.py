@@ -206,6 +206,8 @@ class TestSimulate:
         "overrides, named",
         [
             ({"shots": True}, "shots"),
+            ({"shots": 10**300}, "shots"),
+            ({"shots": np.iinfo(np.intp).max // 64 + 1}, "shots"),
             ({"seed": False}, "seed"),
             ({"state": {"kind": "tmsv", "params": {"r": "x"}}}, "'r'"),
             ({"scheme": "stokes", "scheme_params": {"phi1": "x"}}, "'phi1'"),
@@ -214,7 +216,8 @@ class TestSimulate:
             ({"scheme": "twocopy_m3", "scheme_params": {"opa": {"g1": "x"}}}, "'opa.g1'"),
             ({"scheme": "twocopy_m3", "scheme_params": {"opa": [1]}}, "opa must be an object"),
         ],
-        ids=["shots", "seed", "r", "phi1", "phi2_values", "ref_c.d", "opa.g1", "opa-list"],
+        ids=["shots", "shots-huge", "shots-too-many-rows", "seed", "r", "phi1", "phi2_values",
+             "ref_c.d", "opa.g1", "opa-list"],
     )
     def test_malformed_value_exit_three(self, tmp_path, capsys, overrides, named):
         cfg = {"state": {"kind": "tmsv", "params": {"r": 0.5}}, "scheme": "locc_i",
@@ -346,6 +349,7 @@ class TestSweep:
             ("shots", "inf", _SWEEP_BASE, "--values"),
             ("shots", "2.5", _SWEEP_BASE, "--values"),
             ("shots", "1000,x", _SWEEP_BASE, "--values"),
+            ("shots", "1e300", _SWEEP_BASE, "shots"),
             ("squeeze", "nan", _SWEEP_BASE, "--values"),
             ("squeeze", "0.5", {**_SWEEP_BASE, "state": 5}, "state"),
             ("squeeze", "0.5", {k: v for k, v in _SWEEP_BASE.items() if k != "state"}, "state"),
@@ -354,7 +358,7 @@ class TestSweep:
              "state.params"),
             ("squeeze", "0.5", {**_SWEEP_BASE, "shots": 2.5}, "shots"),
         ],
-        ids=["nan", "inf", "fraction", "word", "squeeze-nan", "state-number", "no-state",
+        ids=["nan", "inf", "fraction", "word", "huge", "squeeze-nan", "state-number", "no-state",
              "config-list", "params-number", "shots-fraction"],
     )
     def test_malformed_input_exit_three(self, tmp_path, capsys, axis, values, config, named):
