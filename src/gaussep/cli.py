@@ -12,7 +12,8 @@ failures in simulate (ill-conditioned settings, too few shots, a state
 method 2 cannot resolve) surface as exit 4.
 
 simulate, sweep and randtest run every scheme through one dispatch,
-:func:`_run_scheme`.
+:func:`_run_scheme`.  randtest runs each scheme with its default
+scheme_params.
 
 Output files land in --output-dir, defaulting to $GAUSSEP_OUTPUT_DIR or
 the working directory.  Identical configs and seeds reproduce estimate
@@ -329,6 +330,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_randtest(args) -> int:
+    if not 1 <= args.shots <= _MAX_SHOTS:
+        return _fail(f"--shots must be a positive integer of at most {_MAX_SHOTS}", 3)
+    if args.n < 1:
+        return _fail("--n must be a positive integer", 3)
     counts = {
         "sep_sep": 0,
         "sep_ent": 0,

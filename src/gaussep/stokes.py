@@ -21,19 +21,22 @@ Two-mode layout: the signal modes interfere at beam splitter 1; the
 difference arm b- = (a1 - a2)/sqrt(2) meets reference c at beam splitter 2
 and the sum arm b+ meets reference d at beam splitter 3.  Measured are
 S1^2 on both arms (arm moments are signal moments plus/minus the cross
-moments), the product S1 (x) S1, and the cross-output anticoincidence
+moments) and the product S1 (x) S1; when the S1 (x) S1 coupling to the
+cross moments vanishes, the cross-output anticoincidence
 
     S3(phi1, phi2) = i(a6^dag a3 - a3^dag a6),
 
-whose expectation contains (<q1 p2> - <p1 q2>)/2.  Together with the
-single-mode readouts these determine all four entries of the cross block
-C, hence the full covariance matrix (this path amounts to full state
-tomography).
+whose expectation contains (<q1 p2> - <p1 q2>)/2, is read instead.
+Together with the single-mode readouts these determine all four entries
+of the cross block C, hence the full covariance matrix (this path amounts
+to full state tomography).
 
 Every readout is affine in theta, the 4 means and the 10 raw second
-moments <{x_i, x_j}>/2 of the signal: readouts = design @ theta + offset.
-A :class:`StokesConfig` solves 14 of its 15 rows with one inverse, and its
-standard errors are exact first-order propagations of readout errors.
+moments <{x_i, x_j}>/2 of the signal: readouts = design @ theta + offset,
+each design row written from the reference moments behind the readout's
+phase shifters.  A :class:`StokesConfig` defines exactly the 14 readouts
+it solves, with one inverse, and its standard errors are exact
+first-order propagations of readout errors.
 
 Each network is a fixed list of readouts, each read at one setting (the
 phases of its shifters); the references and the transforms of every
@@ -72,6 +75,7 @@ from .states import (
     ReferenceStateParams,
     displaced_squeezed_thermal,
     reference_moments,
+    vacuum,
 )
 from .transforms import apply_transform, beam_splitter_50_50, embed, phase_shifter
 
@@ -119,102 +123,17 @@ class StokesReadout:
     value: MomentEstimate
 
 
-@dataclass(frozen=True)
-class SingleModeMoments:
-    """Uncentered first and second moments of one mode."""
-
-    q: float
-    p: float
-    q2: float
-    p2: float
-    sigma: float
-
-    @classmethod
-    def from_state(cls, state: GaussianState, mode: int = 0) -> "SingleModeMoments":
-        i, j = 2 * mode, 2 * mode + 1
-        return cls(
-            q=float(state.means[i]),
-            p=float(state.means[j]),
-            q2=float(state.cov[i, i] + state.means[i] ** 2),
-            p2=float(state.cov[j, j] + state.means[j] ** 2),
-            sigma=float(state.cov[i, j] + state.means[i] * state.means[j]),
-        )
-
-
-@dataclass(frozen=True)
-class TwoModeCrossMoments:
-    """Uncentered cross moments between the two signal modes."""
-
-    q1q2: float
-    p1p2: float
-    q1p2: float
-    p1q2: float
-
-
-def _rotated_first(ref: ReferenceMoments, phi: float) -> tuple[float, float]:
+def _behind_shifter(params: ReferenceStateParams, phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Means and raw second-moment matrix of a reference's (q, p) after a
+    phase shifter phi."""
+    ref = reference_moments(params)
     c, s = math.cos(phi), math.sin(phi)
-    return ref.q_mean * c - ref.p_mean * s, ref.q_mean * s + ref.p_mean * c
+    rot = np.array([[c, -s], [s, c]])
+    raw = np.array([[ref.q2, ref.sigma], [ref.sigma, ref.p2]])
+    return rot @ [ref.q_mean, ref.p_mean], rot @ raw @ rot.T
 
 
-def _rotated_second(ref: ReferenceMoments, phi: float) -> tuple[float, float, float]:
-    c, s = math.cos(phi), math.sin(phi)
-    q2 = c * c * ref.q2 - 2 * c * s * ref.sigma + s * s * ref.p2
-    p2 = s * s * ref.q2 + 2 * c * s * ref.sigma + c * c * ref.p2
-    sigma = c * s * (ref.q2 - ref.p2) + (c * c - s * s) * ref.sigma
-    return q2, p2, sigma
-
-
-def s1_expectation(sig: SingleModeMoments, ref: ReferenceMoments, phi: float) -> float:
-    rq, rp = _rotated_first(ref, phi)
-    return sig.q * rq + sig.p * rp
-
-
-def s1sq_expectation(sig: SingleModeMoments, ref: ReferenceMoments, phi: float) -> float:
-    q2f, p2f, sigf = _rotated_second(ref, phi)
-    return sig.q2 * q2f + sig.p2 * p2f + 2.0 * sig.sigma * sigf - 0.5
-
-
-def _arm_moments(m1, m2, cross: TwoModeCrossMoments, sign: int) -> SingleModeMoments:
-    """Moments of the beam-splitter arm (a1 + sign*a2)/sqrt(2)."""
-    return SingleModeMoments(
-        q=(m1.q + sign * m2.q) / math.sqrt(2),
-        p=(m1.p + sign * m2.p) / math.sqrt(2),
-        q2=0.5 * (m1.q2 + 2 * sign * cross.q1q2 + m2.q2),
-        p2=0.5 * (m1.p2 + 2 * sign * cross.p1p2 + m2.p2),
-        sigma=0.5 * (m1.sigma + m2.sigma + sign * (cross.q1p2 + cross.p1q2)),
-    )
-
-
-def s1xs1_expectation(m1, m2, cross, rc: ReferenceMoments, rd: ReferenceMoments,
-                      phi1: float, phi2: float) -> float:
-    rcq, rcp = _rotated_first(rc, phi1)
-    rdq, rdp = _rotated_first(rd, phi2)
-    x = cross.q1p2 - cross.p1q2
-    return (
-        0.5 * (m1.q2 - m2.q2) * rcq * rdq
-        + 0.5 * (m1.p2 - m2.p2) * rcp * rdp
-        + 0.5 * (m1.sigma - m2.sigma) * (rcq * rdp + rcp * rdq)
-        + 0.5 * x * (rcq * rdp - rcp * rdq)
-    )
-
-
-def s3_expectation(m1, m2, cross, rc: ReferenceMoments, rd: ReferenceMoments,
-                   phi1: float, phi2: float) -> float:
-    rcq, rcp = _rotated_first(rc, phi1)
-    rdq, rdp = _rotated_first(rd, phi2)
-    mean_part = (
-        (m1.q - m2.q) * rdp
-        + (m1.q + m2.q) * rcp
-        - (m1.p - m2.p) * rdq
-        - (m1.p + m2.p) * rcq
-    ) / (2.0 * math.sqrt(2))
-    ref_part = 0.5 * (
-        (rc.q_mean * rd.q_mean + rc.p_mean * rd.p_mean) * math.sin(phi1 - phi2)
-        + (rd.q_mean * rc.p_mean - rc.q_mean * rd.p_mean) * math.cos(phi1 - phi2)
-    )
-    return mean_part + 0.5 * (cross.q1p2 - cross.p1q2) + ref_part
-
-
+@functools.lru_cache(maxsize=256)
 def _readouts(network) -> tuple[tuple[str, tuple, tuple], ...]:
     """(observable, phases, setting) of every readout of ``network``, in
     readout order; a setting is the phases of the network's phase shifters."""
@@ -223,51 +142,33 @@ def _readouts(network) -> tuple[tuple[str, tuple, tuple], ...]:
         return tuple(s1 + [("S1sq", (phi,), (phi,)) for phi in network.s1sq_phases])
     if isinstance(network, TwoModeNetwork):
         first = (network.phi1, network.phi2_values[0])
+        # S1 (x) S1 carries the cross moments with coefficient K/2,
+        # K = <q_c^phi1><p_d^phi2> - <p_c^phi1><q_d^phi2>; S3 replaces it when K vanishes
+        mean_c, _ = _behind_shifter(network.ref_c, network.phi1)
+        mean_d, _ = _behind_shifter(network.ref_d, network.phi2_values[0])
+        coupled = abs(mean_c @ _J2 @ mean_d) > _FALLBACK_TOL
         return (
             ("S1sq_c", (network.phi1,), first),
             *(("S1sq_d", (phi2,), (network.phi1, phi2)) for phi2 in network.phi2_values),
-            ("S1xS1", first, first),
-            ("S3", first, first),
+            ("S1xS1" if coupled else "S3", first, first),
         )
     raise InvalidStateError(f"unknown network type {type(network).__name__}")
 
 
-def _closed_forms(network, sig, cross) -> list[tuple[str, tuple, float]]:
-    """(observable, phases, expectation) of every readout of ``network``,
-    from the moments ``sig[k]`` of signal mode k and the cross moments."""
-    readouts = _readouts(network)
-    if isinstance(network, SingleModeNetwork):
-        m = sig[network.mode]
-        ref = reference_moments(network.reference)
-        forms = {
-            "S1": lambda phi: s1_expectation(m, ref, phi),
-            "S1sq": lambda phi: s1sq_expectation(m, ref, phi),
-        }
-    else:
-        m1, m2 = sig
-        rc = reference_moments(network.ref_c)
-        rd = reference_moments(network.ref_d)
-        minus_arm = _arm_moments(m1, m2, cross, -1)
-        plus_arm = _arm_moments(m1, m2, cross, +1)
-        forms = {
-            "S1sq_c": lambda phi1: s1sq_expectation(minus_arm, rc, phi1),
-            "S1sq_d": lambda phi2: s1sq_expectation(plus_arm, rd, phi2),
-            "S1xS1": lambda phi1, phi2: s1xs1_expectation(m1, m2, cross, rc, rd, phi1, phi2),
-            "S3": lambda phi1, phi2: s3_expectation(m1, m2, cross, rc, rd, phi1, phi2),
-        }
-    return [(name, phases, forms[name](*phases)) for name, phases, _ in readouts]
-
-
 def expect_stokes(network, state: GaussianState) -> list[StokesReadout]:
-    """Exact readout expectations from signal moments and reference moments."""
+    """Exact readout expectations: the network's design applied to the
+    signal's means and raw second moments."""
     require_valid(state)
-    if isinstance(network, TwoModeNetwork):
-        require_two_modes(state)
-    raw = state.cov + np.outer(state.means, state.means)
-    sig, cross = _moment_objects(state.means.tolist(), raw.tolist())
+    if isinstance(network, SingleModeNetwork) and state.n_modes == 1:
+        # the design reads only the signal mode's columns; vacuum fills the other
+        pair = [vacuum(1), vacuum(1)]
+        pair[network.mode] = state
+        state = tensor_product(*pair)
+    design, offset = network_design(network)
+    values = design @ moment_vector(state) + offset
     return [
         StokesReadout(name, phases, MomentEstimate(value=float(value), std_error=0.0, n_shots=0))
-        for name, phases, value in _closed_forms(network, sig, cross)
+        for (name, phases, _), value in zip(_readouts(network), values)
     ]
 
 
@@ -374,7 +275,6 @@ def sample_stokes(network, state: GaussianState, n_shots: int, seed: int,
 # theta holds the means (q1, p1, q2, p2), then the raw second moments
 # <{x_i, x_j}>/2 for i <= j in row-major order
 _UPPER = np.triu_indices(4)
-_N_THETA = 4 + len(_UPPER[0])
 _COL = {(int(i), int(j)): 4 + k for k, (i, j) in enumerate(zip(*_UPPER))}
 
 
@@ -394,34 +294,55 @@ def moment_vector(state: GaussianState) -> np.ndarray:
     return np.concatenate([state.means, raw[_UPPER]])
 
 
-def _moment_objects(means: list, raw: list):
-    """Moments of each mode and, for two modes, the cross moments, from the
-    means and the raw second-moment matrix as nested lists; physical or not."""
-    sig = [
-        SingleModeMoments(q=means[i], p=means[i + 1], q2=raw[i][i], p2=raw[i + 1][i + 1],
-                          sigma=raw[i][i + 1])
-        for i in range(0, len(means), 2)
-    ]
-    if len(means) != 4:
-        return sig, None
-    return sig, TwoModeCrossMoments(q1q2=raw[0][2], p1p2=raw[1][3], q1p2=raw[0][3],
-                                    p1q2=raw[1][2])
+# the signal quadratures read by each readout, as rows over (q1, p1, q2, p2):
+# a signal mode, or a beam-splitter arm (a1 +- a2)/sqrt(2)
+_MODES = (np.eye(4)[:2], np.eye(4)[2:])
+_ARM_MINUS = (_MODES[0] - _MODES[1]) / math.sqrt(2)
+_ARM_PLUS = (_MODES[0] + _MODES[1]) / math.sqrt(2)
+# u @ _J2 @ v = u_q v_p - u_p v_q
+_J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_NO_MEANS = np.zeros(4)
+_NO_RAW = np.zeros((4, 4))
+
+
+def _row(means: np.ndarray = _NO_MEANS, raw: np.ndarray = _NO_RAW) -> np.ndarray:
+    """theta coefficients of means @ <x> + sum_ij raw[i, j] <{x_i, x_j}>/2."""
+    both = raw + raw.T
+    return np.concatenate([means, np.where(_UPPER[0] == _UPPER[1], 0.5, 1.0) * both[_UPPER]])
+
+
+def _design_row(network, name: str, setting: tuple) -> tuple[np.ndarray, float]:
+    """(theta coefficients, offset) of one readout.  S1 and S1^2 pair the
+    signal side's quadratures with the reference's moments behind its
+    shifter; -1/2 is the commutator constant of S1^2."""
+    if isinstance(network, SingleModeNetwork):
+        signal = _MODES[network.mode]
+        mean, raw = _behind_shifter(network.reference, *setting)
+        if name == "S1":
+            return _row(means=mean @ signal), 0.0
+        return _row(raw=signal.T @ raw @ signal), -0.5
+    (mean_c, raw_c), (mean_d, raw_d) = (
+        _behind_shifter(ref, phi) for ref, phi in zip((network.ref_c, network.ref_d), setting)
+    )
+    if name == "S1sq_c":
+        return _row(raw=_ARM_MINUS.T @ raw_c @ _ARM_MINUS), -0.5
+    if name == "S1sq_d":
+        return _row(raw=_ARM_PLUS.T @ raw_d @ _ARM_PLUS), -0.5
+    if name == "S1xS1":
+        return _row(raw=np.outer(mean_c @ _ARM_MINUS, mean_d @ _ARM_PLUS)), 0.0
+    # S3 = <(q_- - q_c)(p_+ + p_d) - (p_- - p_c)(q_+ + q_d)>/2 on the arms and
+    # the references behind their shifters
+    means = (_J2 @ mean_d) @ _ARM_MINUS + (_J2 @ mean_c) @ _ARM_PLUS
+    return 0.5 * _row(means, _ARM_MINUS.T @ _J2 @ _ARM_PLUS), 0.5 * (mean_d @ _J2 @ mean_c)
 
 
 @functools.lru_cache(maxsize=256)
 def network_design(network) -> tuple[np.ndarray, np.ndarray]:
     """(design, offset): the readouts of ``network``, in :func:`expect_stokes`
-    order, are exactly ``design @ theta + offset`` for the signal's theta.
-
-    The closed forms are affine in theta, so the offset is their value at
-    theta = 0 and column j is their value at the j-th unit vector minus it.
-    """
-    def readouts(theta):
-        moments = _moment_objects(*(part.tolist() for part in _unpack(theta)))
-        return np.array([value for _, _, value in _closed_forms(network, *moments)])
-
-    offset = readouts(np.zeros(_N_THETA))
-    design = np.column_stack([readouts(unit) - offset for unit in np.eye(_N_THETA)])
+    order, are exactly ``design @ theta + offset`` for the signal's theta."""
+    rows = [_design_row(network, name, setting) for name, _, setting in _readouts(network)]
+    design = np.array([row for row, _ in rows])
+    offset = np.array([const for _, const in rows])
     for array in (design, offset):
         array.setflags(write=False)
     return design, offset
@@ -476,14 +397,15 @@ class StokesConfig:
 
 
 @functools.lru_cache(maxsize=64)
-def _config_solver(config: StokesConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, solver, offset) with theta = solver @ (readouts[rows] - offset).
+def _config_solver(config: StokesConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(solver, offset) with theta = solver @ (readouts - offset).
 
     The 14 rows are block triangular in (means, single-mode second
     moments, cross moments); each diagonal block is checked before the
     system is inverted.
     """
-    designs = [network_design(net) for net in config.networks()]
+    networks = config.networks()
+    designs = [network_design(net) for net in networks]
     design = np.vstack([d for d, _ in designs])
     offset = np.concatenate([o for _, o in designs])
     _require_sigma_free(reference_moments(config.ref_single), "r")
@@ -501,41 +423,35 @@ def _config_solver(config: StokesConfig) -> tuple[np.ndarray, np.ndarray, np.nda
             "(<q_r^2> = <p_r^2>) or the phases are degenerate "
             "(det = {det:.3e}); increase theta or d of the reference",
         )
-    rc, rd = reference_moments(config.ref_c), reference_moments(config.ref_d)
-    _require_sigma_free(rc, "c")
-    _require_sigma_free(rd, "d")
-    # S1 (x) S1 carries the cross moments with coefficient K/2,
-    # K = <q_c^phi1><p_d^phi2> - <p_c^phi1><q_d^phi2>; S3 replaces it when K vanishes
-    rcq, rcp = _rotated_first(rc, config.phi1)
-    rdq, rdp = _rotated_first(rd, config.phi2_values[0])
-    coupled = abs(rcq * rdp - rcp * rdq) > _FALLBACK_TOL
-    rows = np.delete(np.arange(15), 14 if coupled else 13)
+    _require_sigma_free(reference_moments(config.ref_c), "c")
+    _require_sigma_free(reference_moments(config.ref_d), "d")
+    coupling = _readouts(networks[2])[-1][0]
     _require_regular(
-        design[rows[10:]][:, [_COL[0, 2], _COL[1, 3], _COL[0, 3], _COL[1, 2]]],
+        design[10:, [_COL[0, 2], _COL[1, 3], _COL[0, 3], _COL[1, 2]]],
         "the C-block system is singular (det = {det:.3e}) for the S1sq_c, "
-        f"S1sq_d and {'S1xS1' if coupled else 'S3'} equations; references c "
+        f"S1sq_d and {coupling} equations; references c "
         "and d have proportional second moments or degenerate phase "
         "settings; change theta or d of one reference, or use distinct phi2 values",
     )
-    solver, offset = np.linalg.inv(design[rows]), offset[rows]
-    for array in (rows, solver, offset):
+    solver = np.linalg.inv(design)
+    for array in (solver, offset):
         array.setflags(write=False)
-    return rows, solver, offset
+    return solver, offset
 
 
 def reconstruct(values, errors, config: StokesConfig | None = None):
     """Means, covariance matrix, its per-entry standard errors and the
-    margin standard error from the 15 readouts of ``config.networks()``.
+    margin standard error from the 14 readouts of ``config.networks()``.
 
     Readouts are independent, so each error is the root sum of squares of
     one exact first-order term per readout.
     """
-    rows, solver, offset = _config_solver(config or StokesConfig())
-    theta = solver @ (np.asarray(values, dtype=float)[rows] - offset)
+    solver, offset = _config_solver(config or StokesConfig())
+    theta = solver @ (np.asarray(values, dtype=float) - offset)
     means, raw = _unpack(theta)
     gamma = raw - np.outer(means, means)
     # change of theta, then of gamma, per one standard error of each readout
-    d_means, d_raw = _unpack((solver * np.asarray(errors, dtype=float)[rows]).T)
+    d_means, d_raw = _unpack((solver * np.asarray(errors, dtype=float)).T)
     d_gamma = d_raw - d_means[:, :, None] * means - means[:, None] * d_means[:, None, :]
     d_margin = np.sum(d_gamma * margin_gradient(gamma), axis=(1, 2))
     gamma_se = np.sqrt(np.sum(d_gamma**2, axis=0))

@@ -392,10 +392,30 @@ class TestRandtest:
         assert payload["agreement"] == 1.0
         assert sum(payload["confusion"].values()) == 20
 
-    def test_zero_states(self, capsys):
-        assert main(["randtest", "--n", "0", "--scheme", "analytic"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["agreement"] is None
+    @pytest.mark.parametrize(
+        "scheme, flag, value",
+        [
+            ("analytic", "--n", "0"),
+            ("analytic", "--n", "-3"),
+            ("locc_i", "--shots", "0"),
+            ("locc_i", "--shots", "-5"),
+            ("analytic", "--shots", "1" + "0" * 300),
+            ("analytic", "--shots", str(np.iinfo(np.intp).max // 64 + 1)),
+        ],
+        ids=["n-zero", "n-negative", "shots-zero", "shots-negative", "shots-huge",
+             "shots-too-many-rows"],
+    )
+    def test_malformed_input_exit_three(self, capsys, monkeypatch, scheme, flag, value):
+        def drawn(*_):
+            raise AssertionError("a state was drawn")
+
+        monkeypatch.setattr("gaussep.cli.random_state", drawn)
+        args = {"--n": "1", "--shots": "1000", flag: value}
+        argv = ["randtest", "--scheme", scheme, *(x for kv in args.items() for x in kv)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
 
     def test_sampled_scheme_agreement(self, capsys):
         code = main(

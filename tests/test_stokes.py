@@ -27,7 +27,6 @@ from gaussep import (
 )
 from gaussep.core import margin_of
 from gaussep.stokes import (
-    SingleModeMoments,
     StokesConfig,
     _outputs,
     _readouts,
@@ -103,12 +102,20 @@ class TestAnalyticAgainstPropagated:
         assert values[(math.pi / 4,)] == pytest.approx(0.0, abs=1e-14)
 
 
+# beta = 0 on both references: the S1xS1 coupling vanishes with nonzero
+# reference means, so S3 is read and its mean terms stay covered
+_ZERO_COUPLING = StokesConfig(
+    ref_c=ReferenceStateParams(d=1.0, theta=0.2),
+    ref_d=ReferenceStateParams(d=1.5, theta=0.1),
+)
+
 _SHARED_SETTINGS = (
     *StokesConfig().networks(),
     # S1 and S1^2 read at disjoint phases: five settings, one per readout
     SingleModeNetwork(mode=1, s1_phases=(0.1, 1.3), s1sq_phases=(0.4, 2.0, 2.9)),
     # equal phi2 values: every readout shares one setting
     TwoModeNetwork(phi1=0.3, phi2_values=(0.7, 0.7)),
+    _ZERO_COUPLING.networks()[2],
 )
 
 
@@ -186,10 +193,19 @@ class TestSampledBackend:
         assert [r.value.value for r in a] == [r.value.value for r in b]
 
 
+class _Moments:
+    """Uncentered first and second moments of one mode."""
+
+    def __init__(self, state, mode):
+        i, j = 2 * mode, 2 * mode + 1
+        raw = state.cov + np.outer(state.means, state.means)
+        self.q, self.p = state.means[i], state.means[j]
+        self.q2, self.p2, self.sigma = raw[i, i], raw[j, j], raw[i, j]
+
+
 def _mode_moments(result, mode):
     """Uncentered moments of one mode from a pipeline reconstruction."""
-    estimate = GaussianState(means=result.means_hat, cov=result.gamma_hat)
-    return SingleModeMoments.from_state(estimate, mode)
+    return _Moments(GaussianState(means=result.means_hat, cov=result.gamma_hat), mode)
 
 
 class TestSingleModeSolve:
@@ -214,7 +230,7 @@ class TestSingleModeSolve:
             state = random_signal_state(rng)
             mode = int(rng.integers(0, 2))
             solved = _mode_moments(full_pipeline(state, StokesConfig()), mode)
-            truth = SingleModeMoments.from_state(state, mode)
+            truth = _Moments(state, mode)
             for field in ("q", "p", "q2", "p2", "sigma"):
                 assert getattr(solved, field) == pytest.approx(
                     getattr(truth, field), abs=1e-10
@@ -396,6 +412,21 @@ class TestFullPipeline:
                 assert err < 6 * max(result.gamma_se[i, j], 1e-9), (i, j)
         assert result.margin_std_error > 0
 
+    @pytest.mark.parametrize(
+        "config, coupling",
+        [(StokesConfig(), "S1xS1"), (_ZERO_COUPLING, "S3")],
+        ids=["default", "zero-coupling"],
+    )
+    def test_every_sampled_readout_is_solved(self, config, coupling):
+        state = random_signal_state(np.random.default_rng(602))
+        exact = full_pipeline(state, config)
+        assert np.max(np.abs(exact.gamma_hat - state.cov)) < 1e-9
+        result = full_pipeline(state, config, n_shots=200, seed=4)
+        assert len(result.readouts) == 14
+        assert [r.observable for r in result.readouts[10:]] == [
+            "S1sq_c", "S1sq_d", "S1sq_d", coupling
+        ]
+
     def test_sampled_reproducible(self):
         state = two_mode_squeezed_vacuum(0.2)
         a = full_pipeline(state, n_shots=3000, seed=8)
@@ -438,15 +469,15 @@ def test_readouts_csv_dump(tmp_path):
 def test_s3_zero_mean_reduces_to_cross_moment_difference():
     # with zero-mean signal and zero-mean references only the
     # (q1 p2 - p1 q2)/2 term of the anticoincidence observable survives
-    from gaussep.stokes import SingleModeMoments, s3_expectation, _moment_objects
-    from gaussep import random_state, reference_moments, ReferenceStateParams
+    from gaussep import random_state, ReferenceStateParams
 
     state = random_state(33)
-    m1 = SingleModeMoments.from_state(state, 0)
-    m2 = SingleModeMoments.from_state(state, 1)
+    net = TwoModeNetwork(
+        ref_c=ReferenceStateParams(d=0.0, theta=0.3),
+        ref_d=ReferenceStateParams(d=0.0, theta=0.5),
+        phi1=0.0,
+        phi2_values=(0.0, math.pi / 4),
+    )
+    (value,) = [r.value.value for r in expect_stokes(net, state) if r.observable == "S3"]
     raw = state.cov + np.outer(state.means, state.means)
-    _, cross = _moment_objects(state.means.tolist(), raw.tolist())
-    rc = reference_moments(ReferenceStateParams(d=0.0, theta=0.3))
-    rd = reference_moments(ReferenceStateParams(d=0.0, theta=0.5))
-    value = s3_expectation(m1, m2, cross, rc, rd, 0.0, 0.0)
-    assert value == pytest.approx(0.5 * (cross.q1p2 - cross.p1q2), abs=1e-14)
+    assert value == pytest.approx(0.5 * (raw[0, 3] - raw[1, 2]), abs=1e-14)
