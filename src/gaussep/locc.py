@@ -146,12 +146,13 @@ def _scheme_ii(state, plan, seed):
     }
     if min(int(m.sum()) for m in masks.values()) < MIN_SHOTS:
         raise InsufficientShotsError("a random pair received too few shots")
+    # gather each subset's columns directly rather than copying its whole rows
     for label, (i, j) in _PAIR_COLUMNS.items():
-        sub = rows[masks[label]]
-        _set_sym(gamma, gamma_se, i, j, covariance_and_se(sub[:, i], sub[:, j]))
+        mask = masks[label]
+        _set_sym(gamma, gamma_se, i, j, covariance_and_se(rows[mask, i], rows[mask, j]))
     # each party sees its own quadrature on every shot where it chose it
     for col, mask in ((0, alice_q), (1, ~alice_q), (2, bob_q), (3, ~bob_q)):
-        v = rows[mask][:, col]
+        v = rows[mask, col]
         _set_sym(gamma, gamma_se, col, col, covariance_and_se(v, v))
         est = mean_and_se(v)
         means[col] = est.value

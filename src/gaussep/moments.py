@@ -7,12 +7,20 @@ tr(A cov) + mu^T A mu and Re<A B> = <A><B> + 2 tr(A cov B cov) +
 """
 
 import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import symplectic_form
-from .sampling import MomentEstimate, mean_and_se, sample_wigner
+from .sampling import BLOCK_ROWS, MomentEstimate, _wigner_blocks, derive_rng, mean_and_se
+
+
+# Fewer shots than this do not repay starting a thread pool, about 0.7 ms
+# (3.5 ms at the 90th percentile) for two threads on a 2-CPU host: sampled
+# stokes took 17% longer on two threads at 1e4 shots and 10% less at 2e4.
+POOL_MIN_SHOTS = 4 * BLOCK_ROWS
 
 
 class QuadForm(NamedTuple):
@@ -51,18 +59,50 @@ def product(*factors: QuadForm) -> tuple[tuple[QuadForm, ...], float]:
 
 def measure(readouts, n_shots: int | None = None, seed: int = 0) -> list[MomentEstimate]:
     """Each ``(product, out, key)`` on the state ``out``, exact if ``n_shots``
-    is None, else averaged over Wigner samples drawn on ``(seed, *key)``."""
-    estimates = []
-    for (factors, offset), out, key in readouts:
-        if n_shots is None:
-            est = MomentEstimate(_wigner_mean(factors, out.means, out.cov), 0.0, 0)
-        else:
-            # the previous draw is released only once this one exists, so
-            # the allocator reuses its pages instead of faulting in fresh ones
-            samples = sample_wigner(out, n_shots, seed, *key)
-            est = mean_and_se(_per_shot_product(factors, samples))
-        estimates.append(MomentEstimate(est.value + offset, est.std_error, est.n_shots))
-    return estimates
+    is None, else averaged over Wigner samples drawn on ``(seed, *key)``.
+
+    Sampled readouts are independent jobs, one substream each.  From
+    ``POOL_MIN_SHOTS`` shots on they run on a thread pool with one worker
+    per CPU this process may use, at most one per readout, and every worker
+    is joined before this returns or raises; numpy releases the interpreter
+    lock in the draws, matrix products and ufunc loops.  A job draws and
+    evaluates block by block and returns only its per-shot values; their
+    means and errors are taken here, in readout order, so the results are
+    the same bytes as those of an inline run.  Workers run only private
+    code: no public function of the package leaves the calling thread.
+    """
+    if n_shots is None:
+        return [MomentEstimate(_wigner_mean(factors, out.means, out.cov) + offset, 0.0, 0)
+                for (factors, offset), out, _ in readouts]
+    readouts = list(readouts)
+    draws = [(factors, out, derive_rng(seed, *key)) for (factors, _), out, key in readouts]
+    run = functools.partial(_sampled_per_shot, n_shots)
+    workers = min(len(draws), _usable_cpus()) if n_shots >= POOL_MIN_SHOTS else 1
+    if workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            estimates = [mean_and_se(values) for values in pool.map(run, draws)]
+    else:
+        estimates = [mean_and_se(values) for values in map(run, draws)]
+    return [MomentEstimate(est.value + offset, est.std_error, est.n_shots)
+            for est, ((_, offset), _, _) in zip(estimates, readouts)]
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sampled_per_shot(n_shots: int, draw) -> np.ndarray:
+    """Per-shot values of the readout ``factors`` on ``n_shots`` samples of
+    ``out`` from ``rng``, for ``draw = (factors, out, rng)``; evaluated block
+    by block, so no block outlives its evaluation."""
+    factors, out, rng = draw
+    blocks = _wigner_blocks(out, n_shots, rng)
+    values = np.empty(n_shots)
+    for rows, block in blocks:
+        values[rows] = _per_shot_product(factors, block)
+    return values
 
 
 def _wigner_mean(factors: tuple[QuadForm, ...], mu: np.ndarray, cov: np.ndarray) -> float:

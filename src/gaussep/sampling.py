@@ -11,6 +11,13 @@ derived from a root seed and an integer key path via
 ``numpy.random.SeedSequence(entropy=seed, spawn_key=key)``, so concurrent
 consumers (measurement groups, readouts, estimation branches) produce
 identical results regardless of scheduling or worker count.
+
+A substream is drawn in blocks of ``BLOCK_ROWS`` rows, each the block's
+standard normals times the covariance root plus the means; the blocks are
+bit for bit the rows of one whole draw, and no consumer holds all the
+normals at once.  :func:`gaussep.moments.measure` runs the substreams of
+its readouts concurrently on the CPUs this process may use, with the same
+bytes as one after another.
 """
 
 from __future__ import annotations
@@ -24,6 +31,10 @@ from .core import GaussianState
 from .exceptions import InsufficientShotsError, InvalidCovarianceError
 
 EIG_CLAMP_TOL = 1e-10
+# Rows per block of a draw.  An 8-column block's matrix product stays within
+# OpenBLAS's one-thread size (m n k <= 4 * 65536), so concurrent draws do not
+# also wake its thread pool.
+BLOCK_ROWS = 4096
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
@@ -59,15 +70,38 @@ def sample_wigner(state: GaussianState, n_shots: int, seed: int, *key: int) -> n
     per shot in the order (q1, p1, ..., qn, pn).  Reproducible bit-exactly
     from (state, n_shots, seed, key).
     """
-    if n_shots < 1:
-        raise InsufficientShotsError(f"n_shots must be >= 1, got {n_shots}")
-    rng = derive_rng(seed, *key)
-    root = _cov_sqrt(state.cov)
-    z = rng.standard_normal(size=(n_shots, state.means.size))
-    samples = z @ root.T
-    samples += state.means
+    blocks = _wigner_blocks(state, n_shots, derive_rng(seed, *key))
+    samples = np.empty((n_shots, state.means.size))
+    for rows, block in blocks:
+        samples[rows] = block
     samples.setflags(write=False)
     return samples
+
+
+def _wigner_blocks(state: GaussianState, n_shots: int, rng: np.random.Generator):
+    """``(rows, block)`` pairs whose blocks, in order, are the ``n_shots``
+    Wigner samples of ``rng``'s stream, at most ``BLOCK_ROWS`` + 1 rows each.
+
+    Checks and factors when called; draws a block only when asked for it.
+    numpy computes each row of a block's product as in the whole matrix,
+    except in a one-row (matrix-vector) product, so a one-row tail joins
+    the block before it.
+    """
+    if n_shots < 1:
+        raise InsufficientShotsError(f"n_shots must be >= 1, got {n_shots}")
+    root_t = _cov_sqrt(state.cov).T
+    means = state.means
+
+    def blocks():
+        start = 0
+        while start < n_shots:
+            stop = n_shots if n_shots - start <= BLOCK_ROWS + 1 else start + BLOCK_ROWS
+            block = rng.standard_normal(size=(stop - start, means.size)) @ root_t
+            block += means
+            yield slice(start, stop), block
+            start = stop
+
+    return blocks()
 
 
 def mean_and_se(values: np.ndarray) -> MomentEstimate:

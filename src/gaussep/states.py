@@ -17,9 +17,9 @@ import numpy as np
 from .core import GaussianState, physicality_eigenvalues
 from .exceptions import InvalidCovarianceError, InvalidStateError
 from .transforms import (
+    _squeezer_matrix,
     apply_transform,
     displacement,
-    embed,
     single_mode_squeezer,
     two_mode_squeezer,
 )
@@ -217,10 +217,12 @@ def random_state(seed, max_squeeze: float = 1.0, max_thermal: float = 2.0) -> Ga
     base = np.diag([nu[0], nu[0], nu[1], nu[1]])
     squeeze = np.eye(4)
     for m in range(2):
-        sq = single_mode_squeezer(
+        # the plain matrix that embedding a checked squeezer would give
+        sq = np.eye(4)
+        sq[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = _squeezer_matrix(
             rng.uniform(0.0, max_squeeze), rng.uniform(0, 2 * math.pi)
         )
-        squeeze = embed(sq, 2, [m]).matrix @ squeeze
+        squeeze = sq @ squeeze
     S = random_passive(rng) @ squeeze @ random_passive(rng)
     return GaussianState(means=np.zeros(4), cov=S @ base @ S.T)
 

@@ -122,11 +122,14 @@ def displacement(alpha: complex) -> SymplecticTransform:
 
 
 def single_mode_squeezer(theta: float, gamma: float = 0.0) -> SymplecticTransform:
+    return SymplecticTransform(matrix=_squeezer_matrix(theta, gamma))
+
+
+def _squeezer_matrix(theta: float, gamma: float) -> np.ndarray:
+    """The plain symplectic matrix of S(theta e^{i gamma}), unchecked."""
     c, s = np.cosh(theta), np.sinh(theta)
     cg, sg = np.cos(gamma), np.sin(gamma)
-    return SymplecticTransform(
-        matrix=np.array([[c - s * cg, -s * sg], [-s * sg, c + s * cg]])
-    )
+    return np.array([[c - s * cg, -s * sg], [-s * sg, c + s * cg]])
 
 
 def two_mode_squeezer(r: float) -> SymplecticTransform:

@@ -5,16 +5,24 @@ Each test fails if a draw or an evaluation order drifts, so a change that
 moves random streams or sampled output bytes shows up here first.
 """
 
+import functools
+import inspect
 import math
+import os
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import gaussep
 import wick
-from gaussep import StokesConfig, sample_stokes, sample_wigner, tensor_product, vacuum
+from gaussep import (GaussianState, InvalidCovarianceError, StokesConfig, full_pipeline,
+                     method3_c, sample_stokes, sample_wigner, tensor_product, vacuum)
 from gaussep import core, moments, sampling
 from gaussep.moments import QuadForm, measure
-from gaussep.sampling import derive_rng
+from gaussep.sampling import BLOCK_ROWS, derive_rng
 from gaussep.stokes import _PRODUCTS, _outputs, _readouts
 from conftest import random_signal_state
 
@@ -57,7 +65,8 @@ def factors_and_polys():
 def measured_per_shot(monkeypatch, readout, samples):
     """The per-shot values that ``measure`` averages, on ``samples``."""
     seen = []
-    monkeypatch.setattr(moments, "sample_wigner", lambda *args: samples)
+    monkeypatch.setattr(moments, "_wigner_blocks",
+                        lambda *args: iter([(slice(0, samples.shape[0]), samples)]))
     monkeypatch.setattr(moments, "mean_and_se",
                         lambda values: seen.append(values) or sampling.mean_and_se(values))
     measure([(readout, vacuum(samples.shape[1] // 2), ())], samples.shape[0])
@@ -121,14 +130,16 @@ def test_sample_stokes_equals_expanded_evaluation_on_same_draws(network_index):
 
 
 def test_sample_wigner_equals_hand_built_draw():
+    # whole blocks, a one-row tail, a short tail and shorter than one block
     state = random_signal_state(np.random.default_rng(5))
-    n_shots, seed, key = 3000, 123, (2, 7)
+    seed, key = 123, (2, 7)
     lam, u = np.linalg.eigh(state.cov)
     root = u @ np.diag(np.sqrt(np.clip(lam, 0.0, None))) @ u.T
-    z = derive_rng(seed, *key).standard_normal(size=(n_shots, state.means.size))
-    expected = state.means + z @ root.T
-    got = sample_wigner(state, n_shots, seed, *key)
-    assert got.tobytes() == expected.tobytes()
+    for n_shots in (1, 3000, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 7):
+        z = derive_rng(seed, *key).standard_normal(size=(n_shots, state.means.size))
+        expected = state.means + z @ root.T
+        got = sample_wigner(state, n_shots, seed, *key)
+        assert got.tobytes() == expected.tobytes(), n_shots
 
 
 def test_fresh_samples_are_read_only_and_not_copied(monkeypatch):
@@ -155,3 +166,99 @@ def test_offsets_computed_once_when_readouts_are_defined(monkeypatch):
     assert _PRODUCTS["S1xS1"][1] == 0.0
     with pytest.raises(AssertionError):
         moments.product(moments.photon_number_difference(1, 0), moments.cross_phase(1, 0))
+
+
+# enough shots for the thread pool, ending in a short block
+_THREADED_SHOTS = moments.POOL_MIN_SHOTS + 5
+
+
+def _on_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _off_main_evaluations(monkeypatch):
+    """The threads other than the main one that evaluated a block."""
+    threads = set()
+    inner = moments._per_shot_product
+
+    def recorded(factors, block):
+        if threading.current_thread() is not threading.main_thread():
+            threads.add(threading.get_ident())
+        return inner(factors, block)
+
+    monkeypatch.setattr(moments, "_per_shot_product", recorded)
+    return threads
+
+
+def test_threaded_measurements_equal_inline_bytes(monkeypatch):
+    state = random_signal_state(np.random.default_rng(21))
+    threads_before = threading.active_count()
+    results = {}
+    for cpus in (1, 4):
+        _on_cpus(monkeypatch, cpus)
+        off_main = _off_main_evaluations(monkeypatch)
+        results[cpus] = pickle.dumps((
+            full_pipeline(state, n_shots=_THREADED_SHOTS, seed=5),
+            method3_c(state, n_shots=_THREADED_SHOTS, seed=6),
+        ))
+        assert threading.active_count() == threads_before
+        assert bool(off_main) == (cpus > 1)
+    assert results[1] == results[4]
+
+
+def test_threaded_path_raises_as_inline_path(monkeypatch):
+    bad = GaussianState(means=np.zeros(4), cov=np.diag([1.0, 1.0, 1.0, -0.2]))
+    readout = moments.product(moments.cross_intensity(0, 1))
+    jobs = [(readout, vacuum(2), (0,)), (readout, bad, (1,)), (readout, vacuum(2), (2,))]
+    threads_before = threading.active_count()
+    messages = []
+    for cpus in (1, 4):
+        _on_cpus(monkeypatch, cpus)
+        with pytest.raises(InvalidCovarianceError) as info:
+            measure(jobs, _THREADED_SHOTS, 3)
+        assert threading.active_count() == threads_before
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_public_functions_stay_on_the_calling_thread(monkeypatch):
+    calls = {}
+
+    def on_main_thread(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            assert threading.current_thread() is threading.main_thread(), name
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # rebind every module's own binding of a public package function
+    wrapped = {}
+    for module in [gaussep] + [m for n, m in sorted(sys.modules.items())
+                               if n.startswith("gaussep.")]:
+        for attr, value in list(vars(module).items()):
+            if (inspect.isfunction(value) and not attr.startswith("_")
+                    and value.__module__.startswith("gaussep")):
+                name = f"{value.__module__}.{value.__name__}"
+                wrapped.setdefault(id(value), on_main_thread(name, value))
+                monkeypatch.setattr(module, attr, wrapped[id(value)])
+    _on_cpus(monkeypatch, 4)
+    off_main = _off_main_evaluations(monkeypatch)
+    state = random_signal_state(np.random.default_rng(22))
+    full_pipeline(state, n_shots=_THREADED_SHOTS, seed=7)
+    assert off_main
+    assert calls["gaussep.sampling.mean_and_se"] == 14
+    assert calls["gaussep.moments.measure"] == 3
+    # and a public function called from another thread would have failed
+    failures = []
+
+    def draw_off_main():
+        try:
+            sampling.sample_wigner(vacuum(1), 10, 0)
+        except AssertionError as exc:
+            failures.append(exc)
+
+    worker = threading.Thread(target=draw_off_main)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive() and len(failures) == 1
