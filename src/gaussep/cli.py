@@ -42,7 +42,9 @@ from .exceptions import (
     InvalidStateError,
     SimonTypeMismatchError,
 )
-from .io import load_state, parse_field, reference_params_from_dict, state_from_spec
+from .io import (
+    load_state, number_field, number_list, reference_params_from_dict, state_from_spec,
+)
 from .locc import FiveGroupPlan, run_scheme, verdict_from_estimate
 from .sampling import derive_rng
 from .states import random_state
@@ -110,11 +112,9 @@ def _stokes_config(params: dict) -> StokesConfig:
         if key in params:
             kwargs[key] = reference_params_from_dict(params[key], key)
     if "phi1" in params:
-        kwargs["phi1"] = parse_field("phi1", float, params["phi1"])
+        kwargs["phi1"] = number_field("phi1", params["phi1"])
     if "phi2_values" in params:
-        kwargs["phi2_values"] = parse_field(
-            "phi2_values", lambda v: tuple(float(x) for x in v), params["phi2_values"]
-        )
+        kwargs["phi2_values"] = tuple(number_list("phi2_values", params["phi2_values"]))
     return StokesConfig(**kwargs)
 
 
@@ -127,7 +127,7 @@ def _opa_params(params: dict) -> OpaParams:
     unknown = set(spec) - {"g1", "phi1", "g2", "phi2"}
     if unknown:
         raise InvalidStateError(f"unknown opa parameters {sorted(unknown)}")
-    return OpaParams(**{key: parse_field(f"opa.{key}", float, v) for key, v in spec.items()})
+    return OpaParams(**{key: number_field(f"opa.{key}", v) for key, v in spec.items()})
 
 
 def _run_scheme(state: GaussianState, scheme: str, shots: int, seed: int,
@@ -276,7 +276,10 @@ def _sweep_points(config: dict, axis: str, values: str) -> list[tuple[float, dic
     malformed input raises InvalidStateError naming --values or the key."""
     points = []
     for text in (v for v in values.split(",") if v.strip() != ""):
-        value = parse_field("--values", float, text)
+        try:
+            value = float(text)
+        except ValueError:
+            value = np.nan
         if not np.isfinite(value) or axis == "shots" and (value < 1 or value != int(value)):
             kind = "a whole shot count >= 1" if axis == "shots" else "a finite number"
             raise InvalidStateError(f"--values entry {text!r} is not {kind}")

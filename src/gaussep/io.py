@@ -10,7 +10,9 @@ A state spec selects a constructor:
 
 from __future__ import annotations
 
+import functools
 import json
+import sys
 
 import numpy as np
 
@@ -63,13 +65,27 @@ def state_from_payload(payload: dict) -> GaussianState:
     return GaussianState(means=means, cov=cov)
 
 
-def parse_field(key: str, parse, value):
-    """``parse(value)``; a value of the wrong type or form raises
-    InvalidStateError naming ``key``."""
-    try:
-        return parse(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidStateError(f"malformed value {value!r} for {key!r}: {exc}") from None
+def number_field(key: str, value, integer: bool = False):
+    """A JSON number leaf as a float, or as an int if ``integer``; a bool,
+    a string, a non-finite or, for an integer field, a non-integral value
+    raises InvalidStateError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        ok = False
+    elif integer:
+        ok = isinstance(value, int) or value.is_integer()
+    else:
+        ok = abs(value) <= sys.float_info.max  # false for nan, inf and huge ints
+    if not ok:
+        kind = "an integer" if integer else "a finite number"
+        raise InvalidStateError(f"{key!r} must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def number_list(key: str, values) -> list[float]:
+    """A JSON list of number leaves, each checked by :func:`number_field`."""
+    if not isinstance(values, list):
+        raise InvalidStateError(f"{key!r} must be a list of numbers, got {values!r}")
+    return [number_field(f"{key}[{i}]", v) for i, v in enumerate(values)]
 
 
 def reference_params_from_dict(params: dict, key: str) -> ReferenceStateParams:
@@ -80,7 +96,7 @@ def reference_params_from_dict(params: dict, key: str) -> ReferenceStateParams:
     if unknown:
         raise InvalidStateError(f"unknown {key} parameters {sorted(unknown)}")
     return ReferenceStateParams(
-        **{name: parse_field(f"{key}.{name}", float, v) for name, v in params.items()}
+        **{name: number_field(f"{key}.{name}", v) for name, v in params.items()}
     )
 
 
@@ -105,22 +121,21 @@ def state_from_spec(spec: dict) -> GaussianState:
     if kind not in STATE_KINDS:
         raise InvalidStateError(f"unknown state kind {kind!r}; expected {STATE_KINDS}")
 
-    def number(key, default=None, parse=float):
+    def number(key, default=None, integer=False):
         if default is None and key not in params:
             raise InvalidStateError(f"state kind {kind!r} needs parameter {key!r}")
-        return parse_field(key, parse, params.get(key, default))
+        return number_field(key, params.get(key, default), integer)
 
     if kind == "vacuum":
         _check_params(kind, params, {"n_modes"})
-        return vacuum(number("n_modes", 2, int))
+        return vacuum(number("n_modes", 2, integer=True))
     if kind == "thermal":
         _check_params(kind, params, {"n_bar", "n_bars"})
         if "n_bars" in params:
-            bars = number("n_bars", parse=lambda v: [float(b) for b in v])
-            state = thermal(bars[0])
-            for nb in bars[1:]:
-                state = tensor_product(state, thermal(nb))
-            return state
+            bars = number_list("n_bars", params["n_bars"])
+            if not bars:
+                raise InvalidStateError("'n_bars' must list at least one number")
+            return functools.reduce(tensor_product, map(thermal, bars))
         return thermal(number("n_bar", 0.0))
     if kind == "dst":
         return displaced_squeezed_thermal(reference_params_from_dict(params, "dst"))
@@ -132,7 +147,7 @@ def state_from_spec(spec: dict) -> GaussianState:
         return simon_form(*(number(key) for key in ("lambda", "mu", "s", "t")))
     _check_params(kind, params, {"seed", "max_squeeze", "max_thermal"})
     return random_state(
-        number("seed", 0, int),
+        number("seed", 0, integer=True),
         max_squeeze=number("max_squeeze", 1.0),
         max_thermal=number("max_thermal", 2.0),
     )

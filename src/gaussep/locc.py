@@ -97,70 +97,63 @@ class CovarianceEstimate:
         }
 
 
-def _set_sym(mat, se, i, j, est):
-    mat[i, j] = mat[j, i] = est.value
-    se[i, j] = se[j, i] = est.std_error
+def random_pairs(state: GaussianState, n_shots: int, seed: int, choice_key: int):
+    """Random local quadrature pairs on ``n_shots`` copies: the Wigner rows
+    drawn on ``(seed, 0)``; per column, the shots whose party measured it,
+    from each party's q or p choices drawn on ``(seed, choice_key)``; and
+    per cross entry (i, j) of gamma the covariance from the shots that
+    measured both i and j."""
+    rows = sample_wigner(state, n_shots, seed, 0)
+    choice_rng = derive_rng(seed, choice_key)
+    alice_q = choice_rng.random(n_shots) < 0.5
+    bob_q = choice_rng.random(n_shots) < 0.5
+    sides = {0: alice_q, 1: ~alice_q, 2: bob_q, 3: ~bob_q}
+    masks = {(i, j): sides[i] & sides[j] for i in (0, 1) for j in (2, 3)}
+    if min(int(m.sum()) for m in masks.values()) < MIN_SHOTS:
+        raise InsufficientShotsError(
+            f"a random quadrature pair received fewer than {MIN_SHOTS} of {n_shots} shots"
+        )
+    # gather each subset's columns directly rather than copying its whole rows
+    pairs = {(i, j): covariance_and_se(rows[mask, i], rows[mask, j])
+             for (i, j), mask in masks.items()}
+    return rows, sides, pairs
+
+
+def _symmetrized(rows):
+    """Group C: the two single-mode symmetrized terms."""
+    return {(0, 1): covariance_and_se(rows[:, 0], rows[:, 1]),
+            (2, 3): covariance_and_se(rows[:, 2], rows[:, 3])}
 
 
 def _scheme_i(state, plan, seed):
-    gamma = np.full((4, 4), np.nan)
-    gamma_se = np.full((4, 4), np.nan)
-    means = np.full(4, np.nan)
-    means_se = np.full(4, np.nan)
-    n = plan.shots_per_group
+    entries, means = {}, {}
     for gi, label in enumerate(GROUP_LABELS):
-        rows = sample_wigner(state, n, seed, gi)
+        # one group's rows at a time, which bounds peak memory
+        rows = sample_wigner(state, plan.shots_per_group, seed, gi)
         if label == "C":
-            _set_sym(gamma, gamma_se, 0, 1, covariance_and_se(rows[:, 0], rows[:, 1]))
-            _set_sym(gamma, gamma_se, 2, 3, covariance_and_se(rows[:, 2], rows[:, 3]))
+            entries.update(_symmetrized(rows))
             continue
         i, j = _PAIR_COLUMNS[label]
-        x, y = rows[:, i], rows[:, j]
-        _set_sym(gamma, gamma_se, i, j, covariance_and_se(x, y))
+        entries[i, j] = covariance_and_se(rows[:, i], rows[:, j])
         if label in ("A", "B"):
             # diagonal entries and the means come from the same records
-            _set_sym(gamma, gamma_se, i, i, covariance_and_se(x, x))
-            _set_sym(gamma, gamma_se, j, j, covariance_and_se(y, y))
-            for col, v in ((i, x), (j, y)):
-                est = mean_and_se(v)
-                means[col] = est.value
-                means_se[col] = est.std_error
-    return gamma, means, gamma_se, means_se
+            for col in (i, j):
+                entries[col, col] = covariance_and_se(rows[:, col], rows[:, col])
+                means[col] = mean_and_se(rows[:, col])
+    return entries, means
 
 
 def _scheme_ii(state, plan, seed):
-    gamma = np.full((4, 4), np.nan)
-    gamma_se = np.full((4, 4), np.nan)
-    means = np.full(4, np.nan)
-    means_se = np.full(4, np.nan)
     n = plan.shots_per_group
-    rows = sample_wigner(state, 4 * n, seed, 0)
-    choice_rng = derive_rng(seed, 100)
-    alice_q = choice_rng.random(4 * n) < 0.5  # True: q1, False: p1
-    bob_q = choice_rng.random(4 * n) < 0.5
-    masks = {
-        "A": alice_q & bob_q,
-        "B": ~alice_q & ~bob_q,
-        "D": alice_q & ~bob_q,
-        "E": ~alice_q & bob_q,
-    }
-    if min(int(m.sum()) for m in masks.values()) < MIN_SHOTS:
-        raise InsufficientShotsError("a random pair received too few shots")
-    # gather each subset's columns directly rather than copying its whole rows
-    for label, (i, j) in _PAIR_COLUMNS.items():
-        mask = masks[label]
-        _set_sym(gamma, gamma_se, i, j, covariance_and_se(rows[mask, i], rows[mask, j]))
+    rows, sides, entries = random_pairs(state, 4 * n, seed, 100)
+    means = {}
     # each party sees its own quadrature on every shot where it chose it
-    for col, mask in ((0, alice_q), (1, ~alice_q), (2, bob_q), (3, ~bob_q)):
+    for col, mask in sides.items():
         v = rows[mask, col]
-        _set_sym(gamma, gamma_se, col, col, covariance_and_se(v, v))
-        est = mean_and_se(v)
-        means[col] = est.value
-        means_se[col] = est.std_error
-    sym_rows = sample_wigner(state, n, seed, 1)
-    _set_sym(gamma, gamma_se, 0, 1, covariance_and_se(sym_rows[:, 0], sym_rows[:, 1]))
-    _set_sym(gamma, gamma_se, 2, 3, covariance_and_se(sym_rows[:, 2], sym_rows[:, 3]))
-    return gamma, means, gamma_se, means_se
+        entries[col, col] = covariance_and_se(v, v)
+        means[col] = mean_and_se(v)
+    entries.update(_symmetrized(sample_wigner(state, n, seed, 1)))
+    return entries, means
 
 
 def run_scheme(state: GaussianState, plan: FiveGroupPlan, seed: int) -> CovarianceEstimate:
@@ -168,11 +161,14 @@ def run_scheme(state: GaussianState, plan: FiveGroupPlan, seed: int) -> Covarian
     require_two_modes(state)
     require_valid(state)
     runner = _scheme_i if plan.variant == "scheme_i" else _scheme_ii
-    gamma, means, gamma_se, means_se = runner(state, plan, seed)
-    if np.any(np.isnan(gamma)) or np.any(np.isnan(means)):
-        raise RuntimeError("covariance reconstruction left unset entries")
+    entries, means = runner(state, plan, seed)
+    gamma, gamma_se = np.empty((4, 4)), np.empty((4, 4))
+    for (i, j), est in entries.items():
+        gamma[i, j] = gamma[j, i] = est.value
+        gamma_se[i, j] = gamma_se[j, i] = est.std_error
     return CovarianceEstimate(
-        gamma_hat=gamma, means_hat=means, gamma_se=gamma_se, means_se=means_se, plan=plan
+        gamma_hat=gamma, means_hat=np.array([means[c].value for c in range(4)]),
+        gamma_se=gamma_se, means_se=np.array([means[c].std_error for c in range(4)]), plan=plan,
     )
 
 

@@ -75,7 +75,8 @@ def measure(readouts, n_shots: int | None = None, seed: int = 0) -> list[MomentE
         return [MomentEstimate(_wigner_mean(factors, out.means, out.cov) + offset, 0.0, 0)
                 for (factors, offset), out, _ in readouts]
     readouts = list(readouts)
-    draws = [(factors, out, derive_rng(seed, *key)) for (factors, _), out, key in readouts]
+    draws = [(_shot_terms(factors), out, derive_rng(seed, *key))
+             for (factors, _), out, key in readouts]
     run = functools.partial(_sampled_per_shot, n_shots)
     workers = min(len(draws), _usable_cpus()) if n_shots >= POOL_MIN_SHOTS else 1
     if workers > 1:
@@ -94,14 +95,14 @@ def _usable_cpus() -> int:
 
 
 def _sampled_per_shot(n_shots: int, draw) -> np.ndarray:
-    """Per-shot values of the readout ``factors`` on ``n_shots`` samples of
-    ``out`` from ``rng``, for ``draw = (factors, out, rng)``; evaluated block
-    by block, so no block outlives its evaluation."""
-    factors, out, rng = draw
+    """Per-shot values of the readout with factor ``terms`` on ``n_shots``
+    samples of ``out`` from ``rng``, for ``draw = (terms, out, rng)``;
+    evaluated block by block, so no block outlives its evaluation."""
+    terms, out, rng = draw
     blocks = _wigner_blocks(out, n_shots, rng)
     values = np.empty(n_shots)
     for rows, block in blocks:
-        values[rows] = _per_shot_product(factors, block)
+        values[rows] = _per_shot_product(terms, block)
     return values
 
 
@@ -116,15 +117,25 @@ def _wigner_mean(factors: tuple[QuadForm, ...], mu: np.ndarray, cov: np.ndarray)
     return float(firsts[0] * firsts[1] + 2 * np.sum(a_cov_b * cov_ab) + 4 * mu[sa] @ a_cov_b @ mu[sb])
 
 
-def _per_shot_product(factors: tuple[QuadForm, ...], samples: np.ndarray) -> np.ndarray:
-    """Per-shot product of ``factors``; each distinct one, evaluated once, sums
-    c x_i x_j over A's nonzero upper triangle in support order, c = A_ii or 2 A_ij."""
+def _shot_terms(factors: tuple[QuadForm, ...]) -> tuple[tuple, ...]:
+    """Each factor's (column, column, c) terms: c x_i x_j over A's nonzero
+    upper triangle in support order, c = A_ii or 2 A_ij."""
+    return tuple(
+        tuple((support[i], support[j], matrix[i, j] * (1.0 if i == j else 2.0))
+              for i, j in zip(*np.nonzero(np.triu(matrix))))
+        for support, matrix in factors
+    )
+
+
+def _per_shot_product(terms: tuple[tuple, ...], samples: np.ndarray) -> np.ndarray:
+    """Per-shot product of the factors with ``terms``; each distinct one is
+    evaluated once."""
     values = {}
-    for support, matrix in factors:
-        if id(matrix) not in values:
-            out = values[id(matrix)] = np.zeros(samples.shape[0])
-            for i, j in zip(*np.nonzero(np.triu(matrix))):
-                term = samples[:, support[i]] * samples[:, support[j]]
-                term *= matrix[i, j] * (1.0 if i == j else 2.0)
+    for form in terms:
+        if form not in values:
+            out = values[form] = np.zeros(samples.shape[0])
+            for i, j, coefficient in form:
+                term = samples[:, i] * samples[:, j]
+                term *= coefficient
                 out += term
-    return functools.reduce(np.multiply, [values[id(matrix)] for _, matrix in factors])
+    return functools.reduce(np.multiply, [values[form] for form in terms])

@@ -10,19 +10,22 @@ which is the exact statistics of the +-1 spectrum.
 
 Three routes to det C:
 
-* method 1: per shot each party measures a uniformly random quadrature of
-  its mode; matching pairs estimate the four cross covariances directly.
+* method 1: ``locc_ii``'s random-pair estimator (:func:`gaussep.locc.random_pairs`)
+  on N shots; per shot each party measures a uniformly random quadrature
+  of its mode, and matching pairs estimate the four cross covariances.
 * method 2: assuming Simon normal form (A = lam I, B = mu I,
   C = diag(s, t)), det(cov) = (lam mu - s^2)(lam mu - t^2) and the mode-1
   marginal after the two-mode rotation by pi/4 has determinant
   [(lam + mu)^2 + 2(lam + mu)(s + t) + 4 s t] / 4; both are polynomial in
   e1 = s + t and e2 = s t, so two more swap tests determine e2 = det C up
   to root selection.  Roots that reassemble into an unphysical covariance
-  matrix are discarded; two surviving roots raise an ambiguity error.
+  matrix are discarded; two surviving roots raise an ambiguity error.  The
+  error of det C is the analytic (implicit) derivative of the root over
+  the four swap-test determinants.
 * method 3: both copies of each mode meet in an optical parametric
   amplifier; four cross-intensity observables of the amplified outputs are
-  linear in the cross moments with gain-dependent coefficients, and two
-  2x2 solves return all four entries of C.
+  linear in the cross moments with gain-dependent coefficients, and one
+  affine 4x4 solve returns all four entries of C and their errors.
 
 An ``assemble_verdict`` step turns the four determinant estimates into a
 separability report with a propagated margin error.
@@ -59,8 +62,9 @@ from .exceptions import (
     InvalidStateError,
     SimonTypeMismatchError,
 )
+from .locc import random_pairs
 from .moments import cross_intensity, cross_phase, measure, product
-from .sampling import covariance_and_se, derive_rng, sample_wigner
+from .sampling import derive_rng
 from .states import ReferenceStateParams
 from .stokes import SingleModeNetwork, network_design, sample_stokes
 from .transforms import apply_transform, embed, opa, rotation_theta, SymplecticTransform
@@ -140,29 +144,12 @@ def _det2_and_se(c: np.ndarray, se: np.ndarray) -> tuple[float, float]:
 
 
 def method1_c(state: GaussianState, n_shots: int, seed: int) -> CMatrixEstimate:
-    """Random local quadrature pairs; matching subsets give the C entries."""
+    """C from locc_ii's random local quadrature pairs on ``n_shots`` copies."""
     require_two_modes(state)
     require_valid(state)
-    rows = sample_wigner(state, n_shots, seed, 0)
-    rng = derive_rng(seed, 1)
-    alice_q = rng.random(n_shots) < 0.5
-    bob_q = rng.random(n_shots) < 0.5
-    pairs = {
-        (0, 0): alice_q & bob_q,       # (q1, q2)
-        (0, 1): alice_q & ~bob_q,      # (q1, p2)
-        (1, 0): ~alice_q & bob_q,      # (p1, q2)
-        (1, 1): ~alice_q & ~bob_q,     # (p1, p2)
-    }
-    if min(int(m.sum()) for m in pairs.values()) < 100:
-        raise InsufficientShotsError(
-            f"fewer than 100 shots for some quadrature pair out of {n_shots}"
-        )
-    c = np.zeros((2, 2))
-    se = np.zeros((2, 2))
-    for (i, j), mask in pairs.items():
-        # alice column: q1 -> 0, p1 -> 1; bob column: q2 -> 2, p2 -> 3
-        est = covariance_and_se(rows[mask][:, i], rows[mask][:, 2 + j])
-        c[i, j], se[i, j] = est.value, est.std_error
+    pairs = random_pairs(state, n_shots, seed, 1)[2]
+    c = np.array([[pairs[i, j].value for j in (2, 3)] for i in (0, 1)])
+    se = np.array([[pairs[i, j].std_error for j in (2, 3)] for i in (0, 1)])
     det, det_se = _det2_and_se(c, se)
     return CMatrixEstimate(
         c_hat=c, c_se=se, det_c=det, det_c_se=det_se, n_shots=n_shots, method="method1"
@@ -175,6 +162,7 @@ class Method2Result:
     s: float
     t: float
     candidates: tuple
+    gradient: np.ndarray  # d det C / d (det A, det B, det gamma, det rot)
 
 
 def method2_det_c(det_a: float, det_b: float, det_gamma: float,
@@ -193,6 +181,10 @@ def method2_det_c(det_a: float, det_b: float, det_gamma: float,
     (s, t) are real and the reassembled Simon-form covariance matrix is
     physical; zero survivors signal that the state is not of Simon type
     within the input noise, two distinct survivors are ambiguous.
+
+    The gradient is the implicit derivative of det C = k - h e1, with
+    h = (lam + mu)/2 and k = det_rot - h^2, through the quadratic
+    P(e1) = 0: d det C = dk - e1 dh + h dP / P'(e1).
     """
     if det_a <= 0 or det_b <= 0:
         raise SimonTypeMismatchError(
@@ -203,7 +195,8 @@ def method2_det_c(det_a: float, det_b: float, det_gamma: float,
     k = det_rotated_marginal - h * h
     # det_gamma = (lam mu)^2 - lam mu e1^2 + 2 lam mu e2 + e2^2 with e2 = k - h e1
     a = h * h - lam * mu  # ((lam - mu)/2)^2 >= 0
-    b = -2.0 * h * (lam * mu + k)
+    m = lam * mu + k
+    b = -2.0 * h * m
     c0 = (lam * mu) ** 2 + 2.0 * lam * mu * k + k * k - det_gamma
     scale = max(1.0, abs(lam * mu), abs(k))
     if a < 1e-14 * scale:
@@ -269,7 +262,17 @@ def method2_det_c(det_a: float, det_b: float, det_gamma: float,
             f"{[round(s[2], 9) for s in survivors]}; no disambiguation rule applies"
         )
     s, t, e2 = survivors[0]
-    return Method2Result(det_c=float(e2), s=float(s), t=float(t), candidates=tuple(survivors))
+    e1 = s + t
+    # partial derivatives over (lam, mu, det_gamma, det_rot) at fixed e1
+    d_lm = np.array([mu, lam, 0.0, 0.0])
+    dh = np.array([0.5, 0.5, 0.0, 0.0])
+    dk = np.array([-h, -h, 0.0, 1.0])
+    dm = d_lm + dk
+    dp = (2.0 * h * dh - d_lm) * e1**2 - 2.0 * (m * dh + h * dm) * e1 + 2.0 * m * dm
+    dp[2] -= 1.0
+    gradient = (dk - e1 * dh + h * dp / (2.0 * a * e1 + b)) * [0.5 / lam, 0.5 / mu, 1.0, 1.0]
+    return Method2Result(det_c=float(e2), s=float(s), t=float(t),
+                         candidates=tuple(survivors), gradient=gradient)
 
 
 def rotated_marginal(state: GaussianState) -> GaussianState:
@@ -309,10 +312,10 @@ def opa_solver_constants(g1: float, phi1: float, g2: float, phi2: float) -> dict
 class OpaParams:
     """Gains and pump phases of the two amplifiers.
 
-    The (q1 q2 + p1 p2, q1 p2 - p1 q2) system has determinant
-    cosh(g1 - g2) cosh(g1 + g2) >= 1 and is always solvable; the
-    (q1 q2 - p1 p2, q1 p2 + p1 q2) system has determinant
-    sinh(g1 - g2) sinh(g1 + g2), so the gains must differ.
+    The observables O1, O2 read (q1 q2 + p1 p2, q1 p2 - p1 q2) through a
+    2x2 system of determinant cosh(g1 - g2) cosh(g1 + g2) >= 1, always
+    solvable; O3, O4 read (q1 q2 - p1 p2, q1 p2 + p1 q2) through one of
+    determinant sinh(g1 - g2) sinh(g1 + g2), so the gains must differ.
     """
 
     g1: float = 0.3
@@ -334,14 +337,6 @@ class OpaParams:
     def constants(self) -> dict:
         return opa_solver_constants(self.g1, self.phi1, self.g2, self.phi2)
 
-    def sum_system(self) -> np.ndarray:
-        k = self.constants
-        return np.array([[k["m1"], k["n1"]], [k["m2"], k["n2"]]])
-
-    def diff_system(self) -> np.ndarray:
-        k = self.constants
-        return np.array([[k["m1p"], k["n1p"]], [k["m2p"], k["n2p"]]])
-
 
 @functools.lru_cache(maxsize=64)
 def _opa_steps(params: OpaParams) -> tuple[SymplecticTransform, SymplecticTransform]:
@@ -352,6 +347,21 @@ def _opa_steps(params: OpaParams) -> tuple[SymplecticTransform, SymplecticTransf
         embed(opa(params.g1, params.phi1), 4, [0, 2]),
         embed(opa(params.g2, params.phi2), 4, [1, 3]),
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _opa_solver(params: OpaParams) -> np.ndarray:
+    """Inverse of the affine map from C = (c00, c01, c10, c11) =
+    (q1q2, q1p2, p1q2, p1p2) to the observables (O1, O2, O3, O4)."""
+    k = params.constants
+    solver = np.linalg.inv(np.array([
+        [k["m1"], k["n1"], -k["n1"], k["m1"]],
+        [k["m2"], k["n2"], -k["n2"], k["m2"]],
+        [k["m1p"], k["n1p"], k["n1p"], -k["m1p"]],
+        [k["m2p"], k["n2p"], k["n2p"], -k["m2p"]],
+    ]))
+    solver.setflags(write=False)
+    return solver
 
 
 # observables on the amplified four-mode state; slots: A4=0, B4=1, A3=2, B3=3
@@ -412,32 +422,12 @@ def method3_c(state: GaussianState, params: OpaParams | None = None,
     values = np.array([est.value for est in estimates])
     errors = np.array([est.std_error for est in estimates])
     shots_used += sum(est.n_shots for est in estimates)
-    sum_sys = params.sum_system()
-    diff_sys = params.diff_system()
-    u_plus, v_minus = np.linalg.solve(sum_sys, values[:2])
-    u_minus, v_plus = np.linalg.solve(diff_sys, values[2:])
-    c = np.array(
-        [
-            [(u_plus + u_minus) / 2.0, (v_plus + v_minus) / 2.0],
-            [(v_plus - v_minus) / 2.0, (u_plus - u_minus) / 2.0],
-        ]
-    )
-    # linear error propagation through both solves
-    inv_sum = np.linalg.inv(sum_sys)
-    inv_diff = np.linalg.inv(diff_sys)
-    var_up, var_vm = (inv_sum**2) @ (errors[:2] ** 2)
-    var_um, var_vp = (inv_diff**2) @ (errors[2:] ** 2)
-    se = 0.5 * np.sqrt(
-        np.array([[var_up + var_um, var_vp + var_vm], [var_vp + var_vm, var_up + var_um]])
-    )
+    solver = _opa_solver(params)
+    c = (solver @ values).reshape(2, 2)
+    se = np.sqrt(solver**2 @ errors**2).reshape(2, 2)
     det, det_se = _det2_and_se(c, se)
     return CMatrixEstimate(
-        c_hat=c,
-        c_se=se,
-        det_c=det,
-        det_c_se=det_se,
-        n_shots=shots_used,
-        method="method3",
+        c_hat=c, c_se=se, det_c=det, det_c_se=det_se, n_shots=shots_used, method="method3"
     )
 
 
@@ -525,26 +515,6 @@ def assemble_verdict(det_a: float, det_b: float, det_c: float, det_gamma: float,
     )
 
 
-def _method2_fd_se(inputs: np.ndarray, input_se: np.ndarray, base: float,
-                   validity_tol: float) -> float:
-    """Error of the method-2 root by finite differences over the four
-    determinant inputs; falls back to a quadrature bound where the root
-    selection is unstable."""
-    var = 0.0
-    for i, se in enumerate(input_se):
-        if se == 0.0:
-            continue
-        h = max(1e-7, 1e-4 * se)
-        bumped = inputs.copy()
-        bumped[i] += h
-        try:
-            value = method2_det_c(*bumped, tol=1e-6, validity_tol=validity_tol).det_c
-        except (SimonTypeMismatchError, AmbiguousRootError):
-            return float(np.sqrt(np.sum(input_se**2)))
-        var += ((value - base) / h * se) ** 2
-    return float(math.sqrt(var))
-
-
 def run_two_copy(state: GaussianState, method: str, n_shots: int, seed: int,
                  opa_params: OpaParams | None = None) -> TwoCopyResult:
     """Full two-copy pipeline: three swap tests plus the chosen det C route.
@@ -562,19 +532,13 @@ def run_two_copy(state: GaussianState, method: str, n_shots: int, seed: int,
         det_c, det_c_se = c_est.det_c, c_est.det_c_se
         shots += c_est.n_shots
     elif method == "method2":
-        rotated = rotated_marginal(state)
-        swap_rot = swap_test(rotated, n_shots, seed, 3)
+        swaps = (swap_a, swap_b, swap_g, swap_test(rotated_marginal(state), n_shots, seed, 3))
         shots += n_shots
-        inputs = np.array(
-            [swap_a.det_hat, swap_b.det_hat, swap_g.det_hat, swap_rot.det_hat]
-        )
-        input_se = np.array(
-            [swap_a.det_se, swap_b.det_se, swap_g.det_se, swap_rot.det_se]
-        )
+        input_se = np.array([swap.det_se for swap in swaps])
         validity_tol = max(1e-8, 5.0 * float(np.max(input_se)))
-        solved = method2_det_c(*inputs, tol=1e-6, validity_tol=validity_tol)
-        det_c = solved.det_c
-        det_c_se = _method2_fd_se(inputs, input_se, solved.det_c, validity_tol)
+        solved = method2_det_c(*(swap.det_hat for swap in swaps), tol=1e-6,
+                               validity_tol=validity_tol)
+        det_c, det_c_se = solved.det_c, math.hypot(*solved.gradient * input_se)
     elif method == "method3":
         c_est = method3_c(state, opa_params, n_shots, seed + 2)
         det_c, det_c_se = c_est.det_c, c_est.det_c_se

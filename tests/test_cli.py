@@ -227,6 +227,41 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path), "--output-dir", str(tmp_path)]) == 3
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"state": {"kind": "tmsv", "params": {"r": "0.5"}}}, "'r'"),
+            ({"state": {"kind": "tmsv", "params": {"r": True}}}, "'r'"),
+            ({"state": {"kind": "tmsv", "params": {"r": float("nan")}}}, "'r'"),
+            ({"state": {"kind": "random", "params": {"seed": 1.7}}}, "'seed'"),
+            ({"state": {"kind": "vacuum", "params": {"n_modes": 2.9}}}, "'n_modes'"),
+            ({"state": {"kind": "thermal", "params": {"n_bars": [1.0, "2"]}}}, "'n_bars[1]'"),
+            ({"state": {"kind": "thermal", "params": {"n_bars": []}}}, "'n_bars'"),
+            ({"scheme": "stokes", "scheme_params": {"ref_c": {"d": True}}}, "'ref_c.d'"),
+            ({"scheme": "stokes", "scheme_params": {"phi1": float("inf")}}, "'phi1'"),
+            ({"scheme": "stokes", "scheme_params": {"phi2_values": [0.3, False]}},
+             "'phi2_values[1]'"),
+            ({"scheme": "twocopy_m3", "scheme_params": {"opa": {"g1": float("nan")}}},
+             "'opa.g1'"),
+        ],
+        ids=["r-string", "r-bool", "r-nan", "seed-fraction", "n_modes-fraction",
+             "n_bars-entry", "n_bars-empty", "ref_c.d-bool", "phi1-inf", "phi2_values-entry",
+             "opa.g1-nan"],
+    )
+    def test_number_leaf_exit_three(self, tmp_path, capsys, overrides, named):
+        cfg = {"state": {"kind": "tmsv", "params": {"r": 0.5}}, "scheme": "analytic",
+               "shots": 2000, "seed": 0, **overrides}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path), "--output-dir", str(tmp_path)]) == 3
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "record.json").exists()
+
+    def test_integral_float_for_integer_leaf(self):
+        as_float = state_from_spec({"kind": "random", "params": {"seed": 2.0}})
+        assert np.array_equal(as_float.cov, state_from_spec(
+            {"kind": "random", "params": {"seed": 2}}).cov)
+
     def test_simon_type_mismatch_exit_four(self, tmp_path, capsys):
         # a random state is not of Simon normal form, so method 2 finds no
         # valid root: a scheme failure, not malformed input

@@ -1,8 +1,7 @@
 """Every golden ``run_experiment`` record is reproduced.
 
 Verdicts, shot counts, error types and every other non-float field must
-match exactly; floats to 1e-12 relative.  The method-2 margin error is a
-finite difference through a root selection and gets 1e-6.
+match exactly; floats to 1e-12 relative.
 """
 
 import importlib.util
@@ -22,21 +21,19 @@ with open(golden.PATH) as _fh:
     RECORDS = json.load(_fh)
 
 FLOAT_RTOL = 1e-12
-LOOSE = {("twocopy_m2", "margin_std_error"): 1e-6}
 
 
-def _assert_matches(expected, actual, scheme, path):
+def _assert_matches(expected, actual, path):
     if isinstance(expected, dict):
         assert isinstance(actual, dict) and sorted(actual) == sorted(expected), path
         for key in expected:
-            _assert_matches(expected[key], actual[key], scheme, path + (key,))
+            _assert_matches(expected[key], actual[key], path + (key,))
     elif isinstance(expected, list):
         assert isinstance(actual, list) and len(actual) == len(expected), path
         for i, (e, a) in enumerate(zip(expected, actual)):
-            _assert_matches(e, a, scheme, path + (i,))
+            _assert_matches(e, a, path + (i,))
     elif isinstance(expected, float):
-        rtol = LOOSE.get((scheme, path[-1]), FLOAT_RTOL)
-        assert isinstance(actual, float) and math.isclose(actual, expected, rel_tol=rtol), (
+        assert isinstance(actual, float) and math.isclose(actual, expected, rel_tol=FLOAT_RTOL), (
             path, expected, actual)
     else:
         assert type(actual) is type(expected) and actual == expected, (path, expected, actual)
@@ -53,5 +50,4 @@ def test_golden_covers_every_config():
                    r["config"]["scheme"], str(r["config"]["shots"])]) for r in RECORDS],
 )
 def test_golden_record(expected):
-    config = expected["config"]
-    _assert_matches(expected, golden.record(config), config["scheme"], ())
+    _assert_matches(expected, golden.record(expected["config"]), ())

@@ -21,6 +21,7 @@ from gaussep import (
 from gaussep.moments import (
     QuadForm,
     _per_shot_product,
+    _shot_terms,
     _wigner_mean,
     cross_intensity,
     cross_phase,
@@ -150,16 +151,16 @@ def test_per_shot_values_match_polynomial():
     # 2 x0 x2 - x1 x3 + 0.5 x3^2 on the support (0, 2, 1, 3)
     upper = np.array([[0.0, 2.0, 0.0, 0.0], [0.0] * 4, [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 0.0, 0.5]])
     form = QuadForm((0, 2, 1, 3), (upper + upper.T) / 2)
-    vals = _per_shot_product((form,), rows)
+    vals = _per_shot_product(_shot_terms((form,)), rows)
     expected = 2.0 * rows[:, 0] * rows[:, 2] - rows[:, 1] * rows[:, 3] + 0.5 * rows[:, 3] ** 2
     assert np.allclose(vals, expected)
-    assert np.allclose(_per_shot_product((form, form), rows), expected**2)
+    assert np.allclose(_per_shot_product(_shot_terms((form, form)), rows), expected**2)
 
 
 def test_sampled_average_converges_to_symmetrized():
     state = two_mode_squeezed_vacuum(0.4)
     readout = product(photon_number_difference(1, 0), photon_number_difference(1, 0))
-    vals = _per_shot_product(readout[0], sample_wigner(state, 200000, 11))
+    vals = _per_shot_product(_shot_terms(readout[0]), sample_wigner(state, 200000, 11))
     target = wigner_mean(readout, state)
     se = np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert abs(np.mean(vals) - target) < 5 * se

@@ -156,6 +156,40 @@ class TestMethod2:
             method2_det_c(lam * lam, mu * mu, det_g, det_rot, validity_tol=math.inf)
 
 
+_M2_STATES = {
+    "tmsv": two_mode_squeezed_vacuum(0.5),
+    "simon-a": simon_form(1.2, 0.9, 0.5, -0.3),
+    "simon-b": simon_form(2.0, 1.5, 0.8, -0.6),
+}
+
+
+def _method2_inputs(state, n_shots, seed):
+    """(det A, det B, det gamma, det rot), exact if ``n_shots`` is None, else
+    from swap tests, with the root solve's keywords as run_two_copy sets them."""
+    parts = (partial_trace(state, [0]), partial_trace(state, [1]), state, rotated_marginal(state))
+    if n_shots is None:
+        return [float(np.linalg.det(part.cov)) for part in parts], {}
+    tests = [swap_test(part, n_shots, seed, i) for i, part in enumerate(parts)]
+    validity_tol = max(1e-8, 5.0 * max(t.det_se for t in tests))
+    return [t.det_hat for t in tests], {"tol": 1e-6, "validity_tol": validity_tol}
+
+
+@pytest.mark.parametrize("name", sorted(_M2_STATES))
+@pytest.mark.parametrize("n_shots, seed", [(None, 0), (20000, 3), (20000, 8)])
+def test_method2_gradient_matches_central_difference(name, n_shots, seed):
+    inputs, kwargs = _method2_inputs(_M2_STATES[name], n_shots, seed)
+    central = []
+    for i, x in enumerate(inputs):
+        step = 1e-6 * abs(x)
+        up, down = list(inputs), list(inputs)
+        up[i] += step
+        down[i] -= step
+        central.append((method2_det_c(*up, **kwargs).det_c
+                        - method2_det_c(*down, **kwargs).det_c) / (2.0 * step))
+    gradient = method2_det_c(*inputs, **kwargs).gradient
+    assert np.max(np.abs(gradient - central)) <= 1e-7 * np.max(np.abs(central))
+
+
 class TestMethod3:
     def test_degenerate_gains_rejected(self):
         with pytest.raises(ConditioningError, match="g1 != g2"):
