@@ -11,9 +11,9 @@ Exit codes for analyze: 0 separable (boundary counts as separable),
 failures in simulate (ill-conditioned settings, too few shots, a state
 method 2 cannot resolve) surface as exit 4.
 
-simulate, sweep and randtest run every scheme through one dispatch,
-:func:`_run_scheme`.  randtest runs each scheme with its default
-scheme_params.
+simulate, sweep and randtest run every scheme and compare it with the
+exact criterion through one helper, :func:`_compared`.  randtest runs each
+scheme with its default scheme_params.
 
 Output files land in --output-dir, defaulting to $GAUSSEP_OUTPUT_DIR or
 the working directory.  Identical configs and seeds reproduce estimate
@@ -130,27 +130,46 @@ def _opa_params(params: dict) -> OpaParams:
     return OpaParams(**{key: number_field(f"opa.{key}", v) for key, v in spec.items()})
 
 
-def _run_scheme(state: GaussianState, scheme: str, shots: int, seed: int,
-                params: dict) -> tuple[dict, np.ndarray | None]:
-    """Run one scheme on a two-mode state: its estimate payload and, for
-    schemes that reconstruct one, the estimated covariance matrix."""
+def _compared(state: GaussianState, scheme: str, shots: int, seed: int,
+              params: dict) -> dict:
+    """Run one scheme on a two-mode state and compare it with the exact
+    criterion: the truth, the estimate, the errors of the covariance matrix
+    of schemes that reconstruct one, whether the verdicts agree, and the
+    wall time of the scheme call."""
+    truth = simon_criterion(state)
+    gamma_hat = None
+    started = time.perf_counter()
     if scheme in ("locc_i", "locc_ii"):
         plan = FiveGroupPlan(
             shots_per_group=shots,
             variant="scheme_i" if scheme == "locc_i" else "scheme_ii",
         )
         est = run_scheme(state, plan, seed)
-        return {**est.to_dict(), **verdict_from_estimate(est).to_dict()}, est.gamma_hat
-    if scheme == "stokes":
+        estimate = {**est.to_dict(), **verdict_from_estimate(est).to_dict()}
+        gamma_hat = est.gamma_hat
+    elif scheme == "stokes":
         result = full_pipeline(state, _stokes_config(params), n_shots=shots, seed=seed)
-        return result.to_dict(), result.gamma_hat
-    if scheme.startswith("twocopy"):
+        estimate, gamma_hat = result.to_dict(), result.gamma_hat
+    elif scheme.startswith("twocopy"):
         opa = _opa_params(params) if scheme == "twocopy_m3" else None
         method = scheme.replace("twocopy_m", "method")
-        return run_two_copy(state, method, shots, seed, opa_params=opa).to_dict(), None
-    estimate = simon_criterion(state).to_dict()
-    estimate["margin_std_error"] = 0.0
-    return estimate, state.cov
+        estimate = run_two_copy(state, method, shots, seed, opa_params=opa).to_dict()
+    else:
+        estimate = {**simon_criterion(state).to_dict(), "margin_std_error": 0.0}
+        gamma_hat = state.cov
+    record = {
+        "ground_truth": truth.to_dict(),
+        "estimate": estimate,
+        "wall_time_s": time.perf_counter() - started,
+    }
+    if gamma_hat is not None:
+        err = np.asarray(gamma_hat) - state.cov
+        record["gamma_error_rms"] = float(np.sqrt(np.mean(err**2)))
+        record["gamma_error_max"] = float(np.max(np.abs(err)))
+    record["verdict_agrees"] = (
+        _counts_as_separable(truth.verdict.value) == _counts_as_separable(estimate["verdict"])
+    )
+    return record
 
 
 def run_experiment(config: dict) -> dict:
@@ -161,28 +180,9 @@ def run_experiment(config: dict) -> dict:
         raise InvalidStateError(
             f"schemes need a two-mode state, got {state.n_modes} modes"
         )
-    truth = simon_criterion(state)
-    started = time.perf_counter()
-    estimate, gamma_hat = _run_scheme(
-        state, config["scheme"], config["shots"], config["seed"],
-        config.get("scheme_params", {}) or {},
-    )
-    wall = time.perf_counter() - started
-    record = {
-        "tool_version": __version__,
-        "config": config,
-        "ground_truth": truth.to_dict(),
-        "estimate": estimate,
-        "wall_time_s": wall,
-    }
-    if gamma_hat is not None:
-        err = np.asarray(gamma_hat) - state.cov
-        record["gamma_error_rms"] = float(np.sqrt(np.mean(err**2)))
-        record["gamma_error_max"] = float(np.max(np.abs(err)))
-    record["verdict_agrees"] = (
-        _counts_as_separable(truth.verdict.value) == _counts_as_separable(estimate["verdict"])
-    )
-    return record
+    return {"tool_version": __version__, "config": config,
+            **_compared(state, config["scheme"], config["shots"], config["seed"],
+                        config.get("scheme_params", {}) or {})}
 
 
 def _counts_as_separable(verdict: str) -> bool:
@@ -197,6 +197,22 @@ def _output_dir(args) -> Path:
         base = Path(os.environ.get("GAUSSEP_OUTPUT_DIR", "."))
     base.mkdir(parents=True, exist_ok=True)
     return base
+
+
+# the columns that summary.csv and sweep_*.csv take from a record
+_ROW_FIELDS = (
+    "verdict_true", "verdict_est", "margin_true", "margin_est", "margin_std_error",
+    "gamma_error_rms", "verdict_agrees",
+)
+
+
+def _row(record: dict) -> list:
+    truth, estimate = record["ground_truth"], record["estimate"]
+    return [
+        truth["verdict"], estimate["verdict"], repr(truth["margin"]), repr(estimate["margin"]),
+        repr(estimate["margin_std_error"]), repr(record.get("gamma_error_rms", "")),
+        record["verdict_agrees"],
+    ]
 
 
 def _dump_json(payload: dict, path: Path) -> None:
@@ -244,29 +260,14 @@ def cmd_simulate(args) -> int:
     out = _output_dir(args)
     _dump_json(record, out / "record.json")
     summary = out / "summary.csv"
-    fields = [
-        "scheme", "state_kind", "shots", "seed", "verdict_true", "verdict_est",
-        "margin_true", "margin_est", "margin_std_error", "gamma_error_rms",
-        "verdict_agrees",
-    ]
     new_file = not summary.exists()
+    config = record["config"]
     with open(summary, "a", newline="") as fh:
         writer = csv.writer(fh)
         if new_file:
-            writer.writerow(fields)
-        writer.writerow([
-            record["config"]["scheme"],
-            record["config"]["state"]["kind"],
-            record["config"]["shots"],
-            record["config"]["seed"],
-            record["ground_truth"]["verdict"],
-            record["estimate"]["verdict"],
-            repr(record["ground_truth"]["margin"]),
-            repr(record["estimate"]["margin"]),
-            repr(record["estimate"].get("margin_std_error", 0.0)),
-            repr(record.get("gamma_error_rms", "")),
-            record["verdict_agrees"],
-        ])
+            writer.writerow(["scheme", "state_kind", "shots", "seed", *_ROW_FIELDS])
+        writer.writerow([config["scheme"], config["state"]["kind"], config["shots"],
+                         config["seed"], *_row(record)])
     print(json.dumps(record, indent=2, sort_keys=True))
     return 0
 
@@ -307,27 +308,15 @@ def cmd_sweep(args) -> int:
         return _fail(str(exc), 3)
     out = _output_dir(args)
     path = out / f"sweep_{args.axis}.csv"
-    fields = [
-        "axis", "value", "verdict_true", "verdict_est", "margin_est",
-        "margin_std_error", "gamma_error_rms", "verdict_agrees", "error",
-    ]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(fields)
+        writer.writerow(["axis", "value", *_ROW_FIELDS, "error"])
         for value, point in points:
             try:
-                record = run_experiment(point)
-                writer.writerow([
-                    args.axis, repr(value),
-                    record["ground_truth"]["verdict"],
-                    record["estimate"]["verdict"],
-                    repr(record["estimate"]["margin"]),
-                    repr(record["estimate"].get("margin_std_error", 0.0)),
-                    repr(record.get("gamma_error_rms", "")),
-                    record["verdict_agrees"], "",
-                ])
+                row = [*_row(run_experiment(point)), ""]
             except GaussepError as exc:
-                writer.writerow([args.axis, repr(value), "", "", "", "", "", "", str(exc)])
+                row = [""] * len(_ROW_FIELDS) + [str(exc)]
+            writer.writerow([args.axis, repr(value), *row])
     print(path)
     return 0
 
@@ -346,25 +335,18 @@ def cmd_randtest(args) -> int:
     disagreements = []
     for index in range(args.n):
         state = random_state(derive_rng(args.seed, index))
-        truth = simon_criterion(state)
         try:
-            estimate, _ = _run_scheme(state, args.scheme, args.shots, args.seed + index, {})
+            record = _compared(state, args.scheme, args.shots, args.seed + index, {})
         except GaussepError as exc:
             disagreements.append({"index": index, "error": str(exc)})
             continue
-        true_sep = _counts_as_separable(truth.verdict.value)
-        est_sep = _counts_as_separable(estimate["verdict"])
-        key = f"{'sep' if true_sep else 'ent'}_{'sep' if est_sep else 'ent'}"
-        counts[key] += 1
-        if true_sep != est_sep:
-            disagreements.append(
-                {
-                    "index": index,
-                    "margin_true": truth.margin,
-                    "margin_est": estimate["margin"],
-                    "margin_std_error": estimate.get("margin_std_error", 0.0),
-                }
-            )
+        truth, estimate = record["ground_truth"], record["estimate"]
+        counts["_".join("sep" if _counts_as_separable(r["verdict"]) else "ent"
+                        for r in (truth, estimate))] += 1
+        if not record["verdict_agrees"]:
+            disagreements.append({"index": index, "margin_true": truth["margin"],
+                                  "margin_est": estimate["margin"],
+                                  "margin_std_error": estimate["margin_std_error"]})
     total = sum(counts.values())
     agreement = (counts["sep_sep"] + counts["ent_ent"]) / total if total else None
     payload = {

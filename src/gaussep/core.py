@@ -23,6 +23,8 @@ The exact analysis and every scheme share one definition of each step:
 :func:`block_determinants`, then :func:`simon_margin` (delta and the
 margin), :func:`verdict_of` (the verdict and its boundary tolerance) and
 :func:`symplectic_spectrum` (``xi_min`` from delta and det(cov)).
+Schemes that estimate the whole covariance matrix decide on it through
+:func:`criterion_of_estimate`.
 """
 
 from __future__ import annotations
@@ -138,18 +140,7 @@ class SeparabilityReport:
     neg_log_xi: float
 
     def to_dict(self) -> dict:
-        return {
-            "det_a": self.det_a,
-            "det_b": self.det_b,
-            "det_c": self.det_c,
-            "det_gamma": self.det_gamma,
-            "delta": self.delta,
-            "xi_min": self.xi_min,
-            "margin": self.margin,
-            "verdict": self.verdict.value,
-            "log_negativity": self.log_negativity,
-            "neg_log_xi": self.neg_log_xi,
-        }
+        return {**vars(self), "verdict": self.verdict.value}
 
 
 def physicality_eigenvalues(state: GaussianState) -> np.ndarray:
@@ -163,9 +154,9 @@ def validate(state: GaussianState, tol: float = PHYSICALITY_TOL) -> bool:
     return bool(physicality_eigenvalues(state)[0] >= -tol)
 
 
-def require_valid(state: GaussianState, tol: float = PHYSICALITY_TOL) -> None:
+def require_valid(state: GaussianState) -> None:
     lam = physicality_eigenvalues(state)[0]
-    if lam < -tol:
+    if lam < -PHYSICALITY_TOL:
         raise InvalidStateError(
             f"covariance matrix violates the uncertainty bound: "
             f"min eig(cov + iJ/2) = {lam:.3e}"
@@ -219,11 +210,11 @@ def simon_margin(det_a: float, det_b: float, det_c: float,
     return delta, delta - 4.0 * det_gamma - 0.25
 
 
-def verdict_of(margin: float, tol: float = VERDICT_TOL) -> Verdict:
-    """Verdict of a Simon margin; |margin| <= tol is the boundary."""
-    if abs(margin) <= tol:
+def verdict_of(margin: float) -> Verdict:
+    """Verdict of a Simon margin; |margin| <= VERDICT_TOL is the boundary."""
+    if abs(margin) <= VERDICT_TOL:
         return Verdict.BOUNDARY
-    return Verdict.ENTANGLED if margin > tol else Verdict.SEPARABLE
+    return Verdict.ENTANGLED if margin > 0 else Verdict.SEPARABLE
 
 
 def symplectic_spectrum(delta: float, det_gamma: float,
@@ -269,7 +260,7 @@ def min_symplectic_eigenvalue(state: GaussianState) -> float:
     return symplectic_eigenvalues(state)[0]
 
 
-def simon_criterion(state: GaussianState, tol: float = VERDICT_TOL) -> SeparabilityReport:
+def simon_criterion(state: GaussianState) -> SeparabilityReport:
     """Decide separability of a valid two-mode Gaussian state.
 
     Works on the blocks of the original covariance matrix; the mirror
@@ -290,7 +281,7 @@ def simon_criterion(state: GaussianState, tol: float = VERDICT_TOL) -> Separabil
         delta=delta,
         xi_min=xi_min,
         margin=margin,
-        verdict=verdict_of(margin, tol),
+        verdict=verdict_of(margin),
         log_negativity=log_negativity(xi_min),
         neg_log_xi=-math.log(xi_min) if xi_min > 0 else math.inf,
     )
@@ -375,11 +366,18 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
     )
 
 
-def project_to_valid(state: GaussianState, tol: float = PHYSICALITY_TOL) -> tuple[GaussianState, float]:
+def project_to_valid(state: GaussianState) -> tuple[GaussianState, float]:
     """Repair a noisy covariance estimate by adding the smallest eps * I
     restoring cov + iJ/2 >= 0.  Returns the repaired state and eps."""
     lam = physicality_eigenvalues(state)[0]
     if lam >= 0.0:
         return state, 0.0
-    eps = -lam + tol
+    eps = -lam + PHYSICALITY_TOL
     return GaussianState(means=state.means, cov=state.cov + eps * np.eye(state.means.size)), float(eps)
+
+
+def criterion_of_estimate(means, gamma) -> tuple[SeparabilityReport, float]:
+    """Simon criterion of an estimated two-mode state repaired by
+    :func:`project_to_valid`; returns the report and the projection eps."""
+    projected, eps = project_to_valid(GaussianState(means=means, cov=gamma))
+    return simon_criterion(projected), eps

@@ -30,11 +30,10 @@ import numpy as np
 from .core import (
     GaussianState,
     SeparabilityReport,
+    criterion_of_estimate,
     margin_gradient,
-    project_to_valid,
     require_two_modes,
     require_valid,
-    simon_criterion,
 )
 from .exceptions import InsufficientShotsError, InvalidStateError
 from .sampling import covariance_and_se, derive_rng, mean_and_se, sample_wigner
@@ -178,15 +177,11 @@ class EstimatedVerdict:
 
     report: SeparabilityReport
     margin_std_error: float
-    gamma_raw: np.ndarray
-    gamma_projected: np.ndarray
     projection_epsilon: float
 
     def to_dict(self) -> dict:
-        out = self.report.to_dict()
-        out["margin_std_error"] = self.margin_std_error
-        out["projection_epsilon"] = self.projection_epsilon
-        return out
+        return {**self.report.to_dict(), "margin_std_error": self.margin_std_error,
+                "projection_epsilon": self.projection_epsilon}
 
 
 def margin_std_error(gamma: np.ndarray, gamma_se: np.ndarray) -> float:
@@ -204,16 +199,11 @@ def margin_std_error(gamma: np.ndarray, gamma_se: np.ndarray) -> float:
 
 
 def verdict_from_estimate(estimate: CovarianceEstimate) -> EstimatedVerdict:
-    """Project the estimate to a valid covariance matrix and apply the
-    Simon criterion; the raw matrix and the propagated margin error are
-    kept alongside the verdict."""
-    raw = GaussianState(means=estimate.means_hat, cov=estimate.gamma_hat)
-    projected, eps = project_to_valid(raw)
-    report = simon_criterion(projected)
+    """The Simon criterion of the estimate, with the margin error
+    propagated from the raw matrix."""
+    report, eps = criterion_of_estimate(estimate.means_hat, estimate.gamma_hat)
     return EstimatedVerdict(
         report=report,
         margin_std_error=margin_std_error(estimate.gamma_hat, estimate.gamma_se),
-        gamma_raw=estimate.gamma_hat,
-        gamma_projected=projected.cov,
         projection_epsilon=eps,
     )

@@ -59,12 +59,11 @@ import numpy as np
 from .core import (
     GaussianState,
     SeparabilityReport,
+    criterion_of_estimate,
     margin_gradient,
     partial_trace,
-    project_to_valid,
     require_two_modes,
     require_valid,
-    simon_criterion,
     tensor_product,
 )
 from .exceptions import ConditioningError, InvalidStateError
@@ -506,12 +505,12 @@ def full_pipeline(state: GaussianState, config: StokesConfig | None = None,
     means, gamma, gamma_se, margin_se = reconstruct(
         [r.value.value for r in readouts], [r.value.std_error for r in readouts], config
     )
-    projected, eps = project_to_valid(GaussianState(means=means, cov=gamma))
+    report, eps = criterion_of_estimate(means, gamma)
     return StokesPipelineResult(
         gamma_hat=gamma,
         means_hat=means,
         gamma_se=gamma_se,
-        report=simon_criterion(projected),
+        report=report,
         margin_std_error=margin_se,
         projection_epsilon=eps,
         readouts=tuple(readouts),

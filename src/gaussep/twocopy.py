@@ -19,16 +19,21 @@ Three routes to det C:
   [(lam + mu)^2 + 2(lam + mu)(s + t) + 4 s t] / 4; both are polynomial in
   e1 = s + t and e2 = s t, so two more swap tests determine e2 = det C up
   to root selection.  Roots that reassemble into an unphysical covariance
-  matrix are discarded; two surviving roots raise an ambiguity error.  The
-  error of det C is the analytic (implicit) derivative of the root over
-  the four swap-test determinants.
+  matrix are discarded; two surviving roots raise an ambiguity error.
+  det C comes with its analytic (implicit) derivative over the four
+  swap-test determinants.
 * method 3: both copies of each mode meet in an optical parametric
   amplifier; four cross-intensity observables of the amplified outputs are
   linear in the cross moments with gain-dependent coefficients, and one
   affine 4x4 solve returns all four entries of C and their errors.
 
 An ``assemble_verdict`` step turns the four determinant estimates into a
-separability report with a propagated margin error.
+separability report.  The margin's standard error is one norm over
+independent sources: the margin's first-order change per one standard
+error of each swap test and, for methods 1 and 3, of each entry of C.
+Method 2's det C is solved from the swap tests, so it is no source of its
+own: it enters through the margin's total derivative over the four swap
+tests.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import numpy as np
 from .core import (
     GaussianState,
     Verdict,
-    VERDICT_TOL,
+    _cofactors,
     log_negativity,
     partial_trace,
     purity,
@@ -122,25 +127,19 @@ def swap_test(state: GaussianState, n_shots: int, seed: int, *key: int) -> SwapT
 
 @dataclass(frozen=True)
 class CMatrixEstimate:
-    """Estimated cross block with per-entry and determinant errors."""
+    """Estimated cross block with per-entry errors.  The four entries are
+    independent sources of the margin's error: each moves det C by its
+    cofactor per standard error (:func:`run_two_copy`)."""
 
     c_hat: np.ndarray
     c_se: np.ndarray
-    det_c: float
-    det_c_se: float
     n_shots: int
     method: str
 
-
-def _det2_and_se(c: np.ndarray, se: np.ndarray) -> tuple[float, float]:
-    det = float(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0])
-    var = (
-        (c[1, 1] * se[0, 0]) ** 2
-        + (c[0, 0] * se[1, 1]) ** 2
-        + (c[1, 0] * se[0, 1]) ** 2
-        + (c[0, 1] * se[1, 0]) ** 2
-    )
-    return det, float(math.sqrt(var))
+    @property
+    def det_c(self) -> float:
+        c = self.c_hat
+        return float(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0])
 
 
 def method1_c(state: GaussianState, n_shots: int, seed: int) -> CMatrixEstimate:
@@ -150,10 +149,7 @@ def method1_c(state: GaussianState, n_shots: int, seed: int) -> CMatrixEstimate:
     pairs = random_pairs(state, n_shots, seed, 1)[2]
     c = np.array([[pairs[i, j].value for j in (2, 3)] for i in (0, 1)])
     se = np.array([[pairs[i, j].std_error for j in (2, 3)] for i in (0, 1)])
-    det, det_se = _det2_and_se(c, se)
-    return CMatrixEstimate(
-        c_hat=c, c_se=se, det_c=det, det_c_se=det_se, n_shots=n_shots, method="method1"
-    )
+    return CMatrixEstimate(c_hat=c, c_se=se, n_shots=n_shots, method="method1")
 
 
 @dataclass(frozen=True)
@@ -167,7 +163,7 @@ class Method2Result:
 
 def method2_det_c(det_a: float, det_b: float, det_gamma: float,
                   det_rotated_marginal: float, tol: float = _ROOT_TOL,
-                  validity_tol: float = 1e-8) -> Method2Result:
+                  input_se=(0.0, 0.0, 0.0, 0.0)) -> Method2Result:
     """Solve the Simon-form determinant system for det C = s t.
 
     Unknowns e1 = s + t, e2 = s t obey
@@ -181,6 +177,11 @@ def method2_det_c(det_a: float, det_b: float, det_gamma: float,
     (s, t) are real and the reassembled Simon-form covariance matrix is
     physical; zero survivors signal that the state is not of Simon type
     within the input noise, two distinct survivors are ambiguous.
+
+    ``input_se`` are the inputs' standard errors.  Candidates pass as
+    physical within five times the largest (at least 1e-8).  A negative
+    discriminant (s - t)^2 = e1^2 - 4 e2 is clamped to zero unless it lies
+    more than three of its own first-order errors below it.
 
     The gradient is the implicit derivative of det C = k - h e1, with
     h = (lam + mu)/2 and k = det_rot - h^2, through the quadratic
@@ -199,6 +200,24 @@ def method2_det_c(det_a: float, det_b: float, det_gamma: float,
     b = -2.0 * h * m
     c0 = (lam * mu) ** 2 + 2.0 * lam * mu * k + k * k - det_gamma
     scale = max(1.0, abs(lam * mu), abs(k))
+    validity_tol = max(1e-8, 5.0 * max(input_se))
+    # partial derivatives over (lam, mu, det_gamma, det_rot) at fixed e1,
+    # and the chain rule to (det A, det B, det_gamma, det_rot)
+    d_lm = np.array([mu, lam, 0.0, 0.0])
+    dh = np.array([0.5, 0.5, 0.0, 0.0])
+    dk = np.array([-h, -h, 0.0, 1.0])
+    dm = d_lm + dk
+    to_inputs = np.array([0.5 / lam, 0.5 / mu, 1.0, 1.0])
+
+    def slopes(e1):
+        """Derivatives of e2 and of e1^2 - 4 e2 over the four inputs, with e1
+        moving so that P(e1) = 0."""
+        dp = (2.0 * h * dh - d_lm) * e1**2 - 2.0 * (m * dh + h * dm) * e1 + 2.0 * m * dm
+        dp[2] -= 1.0
+        de1 = -dp / (2.0 * a * e1 + b)
+        de2 = dk - e1 * dh - h * de1
+        return de2 * to_inputs, (2.0 * e1 * de1 - 4.0 * de2) * to_inputs
+
     if a < 1e-14 * scale:
         # symmetric states (lam = mu) make the system linear in e1
         if abs(b) < tol * scale**2:
@@ -227,7 +246,9 @@ def method2_det_c(det_a: float, det_b: float, det_gamma: float,
             continue
         e2 = k - h * e1
         disc_st = e1 * e1 - 4.0 * e2
-        if disc_st < -tol * scale**2:
+        # the noise bound is evaluated only where the rounding bound rejects
+        if disc_st < -tol * scale**2 and disc_st < -3.0 * np.linalg.norm(
+                slopes(e1)[1] * input_se):
             continue
         half = math.sqrt(max(disc_st, 0.0)) / 2.0
         s, t = e1 / 2.0 + half, e1 / 2.0 - half
@@ -262,17 +283,8 @@ def method2_det_c(det_a: float, det_b: float, det_gamma: float,
             f"{[round(s[2], 9) for s in survivors]}; no disambiguation rule applies"
         )
     s, t, e2 = survivors[0]
-    e1 = s + t
-    # partial derivatives over (lam, mu, det_gamma, det_rot) at fixed e1
-    d_lm = np.array([mu, lam, 0.0, 0.0])
-    dh = np.array([0.5, 0.5, 0.0, 0.0])
-    dk = np.array([-h, -h, 0.0, 1.0])
-    dm = d_lm + dk
-    dp = (2.0 * h * dh - d_lm) * e1**2 - 2.0 * (m * dh + h * dm) * e1 + 2.0 * m * dm
-    dp[2] -= 1.0
-    gradient = (dk - e1 * dh + h * dp / (2.0 * a * e1 + b)) * [0.5 / lam, 0.5 / mu, 1.0, 1.0]
     return Method2Result(det_c=float(e2), s=float(s), t=float(t),
-                         candidates=tuple(survivors), gradient=gradient)
+                         candidates=tuple(survivors), gradient=slopes(s + t)[0])
 
 
 def rotated_marginal(state: GaussianState) -> GaussianState:
@@ -425,10 +437,7 @@ def method3_c(state: GaussianState, params: OpaParams | None = None,
     solver = _opa_solver(params)
     c = (solver @ values).reshape(2, 2)
     se = np.sqrt(solver**2 @ errors**2).reshape(2, 2)
-    det, det_se = _det2_and_se(c, se)
-    return CMatrixEstimate(
-        c_hat=c, c_se=se, det_c=det, det_c_se=det_se, n_shots=shots_used, method="method3"
-    )
+    return CMatrixEstimate(c_hat=c, c_se=se, n_shots=shots_used, method="method3")
 
 
 @dataclass(frozen=True)
@@ -451,22 +460,7 @@ class TwoCopyResult:
     measurement_settings: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "det_a": self.det_a,
-            "det_b": self.det_b,
-            "det_c": self.det_c,
-            "det_gamma": self.det_gamma,
-            "delta": self.delta,
-            "margin": self.margin,
-            "margin_std_error": self.margin_std_error,
-            "verdict": self.verdict.value,
-            "xi_min": self.xi_min,
-            "log_negativity": self.log_negativity,
-            "estimates_consistent": self.estimates_consistent,
-            "method": self.method,
-            "shots_used": self.shots_used,
-            "measurement_settings": self.measurement_settings,
-        }
+        return {**vars(self), "verdict": self.verdict.value}
 
 
 # measurement settings: three swap tests always; det C costs 4 random-pair
@@ -477,17 +471,15 @@ TOMOGRAPHY_SETTINGS = 5
 
 
 def assemble_verdict(det_a: float, det_b: float, det_c: float, det_gamma: float,
-                     std_errors=(0.0, 0.0, 0.0, 0.0), method: str = "exact",
-                     shots_used: int = 0, tol: float = VERDICT_TOL) -> TwoCopyResult:
-    """Simon criterion from determinant estimates.
+                     margin_std_error: float = 0.0, method: str = "exact",
+                     shots_used: int = 0) -> TwoCopyResult:
+    """Simon criterion from determinant estimates and the margin's
+    standard error.
 
-    The margin's standard error follows from the (independent) input
-    errors.  xi_min is computed when the estimates admit a real symplectic
-    spectrum and flagged inconsistent otherwise.
+    xi_min is computed when the estimates admit a real symplectic spectrum
+    and flagged inconsistent otherwise.
     """
     delta, margin = simon_margin(det_a, det_b, det_c, det_gamma)
-    se_a, se_b, se_c, se_g = std_errors
-    margin_se = math.sqrt(se_a**2 + se_b**2 + 4.0 * se_c**2 + 16.0 * se_g**2)
     try:
         xi_min = symplectic_spectrum(delta, det_gamma, tol=1e-12)[0]
     except InvalidCovarianceError:
@@ -504,8 +496,8 @@ def assemble_verdict(det_a: float, det_b: float, det_c: float, det_gamma: float,
         det_gamma=det_gamma,
         delta=delta,
         margin=margin,
-        margin_std_error=margin_se,
-        verdict=verdict_of(margin, tol),
+        margin_std_error=margin_std_error,
+        verdict=verdict_of(margin),
         xi_min=xi_min,
         log_negativity=None if xi_min is None else log_negativity(xi_min),
         estimates_consistent=xi_min is not None,
@@ -519,38 +511,33 @@ def run_two_copy(state: GaussianState, method: str, n_shots: int, seed: int,
                  opa_params: OpaParams | None = None) -> TwoCopyResult:
     """Full two-copy pipeline: three swap tests plus the chosen det C route.
 
-    ``n_shots`` is the budget per estimation branch (equal split).
+    ``n_shots`` is the budget per estimation branch (equal split).  The
+    margin's standard error is the norm of its change per one standard
+    error of each independent source: the swap tests and, for methods 1
+    and 3, the four entries of C.
     """
     require_two_modes(state)
     require_valid(state)
-    swap_a = swap_test(partial_trace(state, [0]), n_shots, seed, 0)
-    swap_b = swap_test(partial_trace(state, [1]), n_shots, seed, 1)
-    swap_g = swap_test(state, n_shots, seed, 2)
-    shots = 3 * n_shots
-    if method == "method1":
-        c_est = method1_c(state, n_shots, seed + 1)
-        det_c, det_c_se = c_est.det_c, c_est.det_c_se
-        shots += c_est.n_shots
-    elif method == "method2":
-        swaps = (swap_a, swap_b, swap_g, swap_test(rotated_marginal(state), n_shots, seed, 3))
-        shots += n_shots
-        input_se = np.array([swap.det_se for swap in swaps])
-        validity_tol = max(1e-8, 5.0 * float(np.max(input_se)))
+    swaps = [swap_test(partial_trace(state, [0]), n_shots, seed, 0),
+             swap_test(partial_trace(state, [1]), n_shots, seed, 1),
+             swap_test(state, n_shots, seed, 2)]
+    slopes = np.array([1.0, 1.0, -4.0])  # d margin / d (det A, det B, det gamma)
+    c_sources = np.zeros(0)
+    if method == "method2":
+        swaps.append(swap_test(rotated_marginal(state), n_shots, seed, 3))
         solved = method2_det_c(*(swap.det_hat for swap in swaps), tol=1e-6,
-                               validity_tol=validity_tol)
-        det_c, det_c_se = solved.det_c, math.hypot(*solved.gradient * input_se)
-    elif method == "method3":
-        c_est = method3_c(state, opa_params, n_shots, seed + 2)
-        det_c, det_c_se = c_est.det_c, c_est.det_c_se
-        shots += c_est.n_shots
+                               input_se=[swap.det_se for swap in swaps])
+        det_c, shots = solved.det_c, 4 * n_shots
+        # det C is solved from the four swap tests: the margin's total derivative
+        slopes = np.append(slopes, 0.0) - 2.0 * solved.gradient
+    elif method in ("method1", "method3"):
+        c_est = (method1_c(state, n_shots, seed + 1) if method == "method1"
+                 else method3_c(state, opa_params, n_shots, seed + 2))
+        det_c, shots = c_est.det_c, 3 * n_shots + c_est.n_shots
+        c_sources = (-2.0 * _cofactors(c_est.c_hat) * c_est.c_se).ravel()
     else:
         raise ValueError(f"unknown method {method!r}")
-    return assemble_verdict(
-        swap_a.det_hat,
-        swap_b.det_hat,
-        det_c,
-        swap_g.det_hat,
-        std_errors=(swap_a.det_se, swap_b.det_se, det_c_se, swap_g.det_se),
-        method=method,
-        shots_used=shots,
-    )
+    sources = np.concatenate([slopes * [swap.det_se for swap in swaps], c_sources])
+    det_a, det_b, det_gamma = (swap.det_hat for swap in swaps[:3])
+    return assemble_verdict(det_a, det_b, det_c, det_gamma, float(np.linalg.norm(sources)),
+                            method, shots)

@@ -4,10 +4,22 @@ import json
 import numpy as np
 import pytest
 
-from gaussep import two_mode_squeezed_vacuum, vacuum, GaussianState
+from gaussep import (
+    GaussianState,
+    ReferenceStateParams,
+    displaced_squeezed_thermal,
+    random_state,
+    run_two_copy,
+    simon_criterion,
+    simon_form,
+    thermal,
+    two_mode_squeezed_vacuum,
+    vacuum,
+)
 from gaussep.cli import main, run_experiment, validate_config
-from gaussep.exceptions import InvalidStateError
+from gaussep.exceptions import GaussepError, InvalidStateError
 from gaussep.io import load_state, save_state, state_from_spec
+from gaussep.sampling import derive_rng
 
 
 @pytest.fixture
@@ -54,6 +66,32 @@ class TestStateIO:
         assert pair.n_modes == 2
         rand = state_from_spec({"kind": "random", "params": {"seed": 3}})
         assert rand.n_modes == 2
+
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            ({"kind": "thermal", "params": {"n_bar": 0.5}}, thermal(0.5)),
+            ({"kind": "dst", "params": {"n_bar": 0.2, "d": 1.5, "theta": 0.3}},
+             displaced_squeezed_thermal(ReferenceStateParams(n_bar=0.2, d=1.5, theta=0.3))),
+            ({"kind": "simon", "params": {"lambda": 1.2, "mu": 0.9, "s": 0.5, "t": -0.3}},
+             simon_form(1.2, 0.9, 0.5, -0.3)),
+        ],
+        ids=["thermal", "dst", "simon"],
+    )
+    def test_spec_through_simulate(self, tmp_path, capsys, spec, expected):
+        state = state_from_spec(spec)
+        assert np.array_equal(state.means, expected.means)
+        assert np.array_equal(state.cov, expected.cov)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"state": spec, "scheme": "analytic", "shots": 1000, "seed": 0}))
+        code = main(["simulate", "--config", str(cfg), "--output-dir", str(tmp_path)])
+        if expected.n_modes == 1:
+            assert code == 3
+            assert "schemes need a two-mode state, got 1 modes" in capsys.readouterr().err
+            return
+        assert code == 0
+        record = json.loads((tmp_path / "record.json").read_text())
+        assert record["ground_truth"] == simon_criterion(expected).to_dict()
 
     def test_unknown_kind_and_params_rejected(self):
         with pytest.raises(InvalidStateError):
@@ -263,15 +301,16 @@ class TestSimulate:
             {"kind": "random", "params": {"seed": 2}}).cov)
 
     def test_simon_type_mismatch_exit_four(self, tmp_path, capsys):
-        # a random state is not of Simon normal form, so method 2 finds no
-        # valid root: a scheme failure, not malformed input
+        # this random state is far from Simon normal form for its swap-test
+        # errors, so method 2 finds no valid root: a scheme failure, not
+        # malformed input
         cfg = tmp_path / "config.json"
         cfg.write_text(
             json.dumps(
                 {
-                    "state": {"kind": "random", "params": {"seed": 3}},
+                    "state": {"kind": "random", "params": {"seed": 102}},
                     "scheme": "twocopy_m2",
-                    "shots": 2000,
+                    "shots": 30000,
                     "seed": 0,
                 }
             )
@@ -418,6 +457,7 @@ class TestSweep:
         expected = run_experiment({"state": {"kind": "tmsv", "params": {"r": 0.5}},
                                    "scheme": "stokes", "shots": 1000, "seed": 0})
         assert row["margin_est"] == repr(expected["estimate"]["margin"])
+        assert row["margin_true"] == repr(expected["ground_truth"]["margin"])
 
 
 class TestRandtest:
@@ -469,6 +509,31 @@ class TestRandtest:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["agreement"] >= 0.8
+
+    def test_sampled_disagreements_and_errors(self, capsys):
+        # at 50 shots per branch twocopy_m3 fails on some states and flips
+        # the verdict on others
+        n, seed = 20, 3
+        argv = ["randtest", "--n", str(n), "--scheme", "twocopy_m3", "--shots", "50",
+                "--seed", str(seed)]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        entries = payload["disagreements"]
+        errors = [entry for entry in entries if "error" in entry]
+        assert errors and len(errors) < len(entries)
+        assert sum(payload["confusion"].values()) + len(errors) == n
+        for entry in entries:
+            index = entry["index"]
+            state = random_state(derive_rng(seed, index))
+            if "error" in entry:
+                with pytest.raises(GaussepError) as raised:
+                    run_two_copy(state, "method3", 50, seed + index)
+                assert entry == {"index": index, "error": str(raised.value)}
+                continue
+            result = run_two_copy(state, "method3", 50, seed + index)
+            assert entry == {"index": index, "margin_true": simon_criterion(state).margin,
+                             "margin_est": result.margin,
+                             "margin_std_error": result.margin_std_error}
 
 
 class TestSchemeParams:

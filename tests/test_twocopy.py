@@ -148,12 +148,21 @@ class TestMethod2:
         with pytest.raises(SimonTypeMismatchError):
             method2_det_c(det_a, det_b, det_g, det_rot)
 
+    # simon_form(1.5, 1.1, 0.4, 0.2) is covered by the calibration test below
+    @pytest.mark.parametrize("lam, mu, s, t", [(1.0, 0.8, 0.3, 0.2), (2.0, 1.5, 0.8, 0.6)])
+    def test_same_sign_simon_states_resolve(self, lam, mu, s, t):
+        # s close to t puts the discriminant (s - t)^2 within noise of zero
+        state = simon_form(lam, mu, s, t)
+        for seed in range(100):
+            run_two_copy(state, "method2", 20000, seed)
+
     def test_ambiguity_flagged_not_chosen(self):
         lam, mu, s, t = 0.8, 0.6, 0.3, 0.1
         det_g = (lam * mu - s * s) * (lam * mu - t * t)
         det_rot = ((lam + mu + 2 * s) * (lam + mu + 2 * t)) / 4.0
+        # input errors this large let both roots pass as physical
         with pytest.raises(AmbiguousRootError):
-            method2_det_c(lam * lam, mu * mu, det_g, det_rot, validity_tol=math.inf)
+            method2_det_c(lam * lam, mu * mu, det_g, det_rot, input_se=(math.inf,) * 4)
 
 
 _M2_STATES = {
@@ -170,8 +179,7 @@ def _method2_inputs(state, n_shots, seed):
     if n_shots is None:
         return [float(np.linalg.det(part.cov)) for part in parts], {}
     tests = [swap_test(part, n_shots, seed, i) for i, part in enumerate(parts)]
-    validity_tol = max(1e-8, 5.0 * max(t.det_se for t in tests))
-    return [t.det_hat for t in tests], {"tol": 1e-6, "validity_tol": validity_tol}
+    return [t.det_hat for t in tests], {"tol": 1e-6, "input_se": [t.det_se for t in tests]}
 
 
 @pytest.mark.parametrize("name", sorted(_M2_STATES))
@@ -188,6 +196,22 @@ def test_method2_gradient_matches_central_difference(name, n_shots, seed):
                         - method2_det_c(*down, **kwargs).det_c) / (2.0 * step))
     gradient = method2_det_c(*inputs, **kwargs).gradient
     assert np.max(np.abs(gradient - central)) <= 1e-7 * np.max(np.abs(central))
+
+
+@pytest.mark.parametrize(
+    "state",
+    [two_mode_squeezed_vacuum(0.5), simon_form(1.2, 0.9, 0.5, -0.3), simon_form(1.5, 1.1, 0.4, 0.2)],
+    ids=["tmsv", "simon-opposite-signs", "simon-same-signs"],
+)
+def test_method2_margin_error_calibrated(state):
+    # z = (margin - truth) / SE over independent seeds has mean 0 and std 1
+    truth = simon_criterion(state).margin
+    z = []
+    for seed in range(300):
+        result = run_two_copy(state, "method2", 20000, seed)
+        z.append((result.margin - truth) / result.margin_std_error)
+    assert abs(np.mean(z)) < 0.15
+    assert 0.85 <= np.std(z, ddof=1) <= 1.15
 
 
 class TestMethod3:
@@ -293,11 +317,23 @@ class TestAssembleVerdict:
         assert result.xi_min is None
 
     def test_margin_error_propagation(self):
-        result = assemble_verdict(
-            0.25, 0.25, 0.0, 1.0 / 16.0, std_errors=(0.01, 0.01, 0.02, 0.005)
-        )
-        expected = math.sqrt(0.01**2 + 0.01**2 + 4 * 0.02**2 + 16 * 0.005**2)
+        # independent errors of det A, det B, det C and det gamma enter the
+        # margin with slopes 1, 1, -2 and -4
+        state = two_mode_squeezed_vacuum(0.5)
+        result = run_two_copy(state, "method1", 20000, seed=16)
+        c_est = method1_c(state, 20000, 17)
+        assert result.det_c == c_est.det_c
+        swaps = [swap_test(partial_trace(state, [0]), 20000, 16, 0),
+                 swap_test(partial_trace(state, [1]), 20000, 16, 1), swap_test(state, 20000, 16, 2)]
+        c, se = c_est.c_hat, c_est.c_se
+        det_c_se = math.hypot(c[1, 1] * se[0, 0], c[0, 0] * se[1, 1],
+                              c[1, 0] * se[0, 1], c[0, 1] * se[1, 0])
+        expected = math.hypot(swaps[0].det_se, swaps[1].det_se, 2 * det_c_se, 4 * swaps[2].det_se)
         assert result.margin_std_error == pytest.approx(expected, rel=1e-12)
+
+    def test_margin_error_passed_through(self):
+        result = assemble_verdict(0.25, 0.25, 0.0, 1.0 / 16.0, margin_std_error=0.03)
+        assert result.margin_std_error == 0.03
 
     def test_measurement_accounting(self):
         result = assemble_verdict(0.25, 0.25, 0.0, 1 / 16, method="method3")
