@@ -217,17 +217,20 @@ def verdict_of(margin: float) -> Verdict:
     return Verdict.ENTANGLED if margin > 0 else Verdict.SEPARABLE
 
 
-def symplectic_spectrum(delta: float, det_gamma: float,
-                        tol: float = PHYSICALITY_TOL) -> tuple[float, float]:
+def symplectic_spectrum(delta: float, det_gamma: float, tol: float = PHYSICALITY_TOL,
+                        delta_terms: float = 0.0) -> tuple[float, float]:
     """Both symplectic eigenvalues of a two-mode matrix with invariants
     delta = det A + det B + 2 det C and det(gamma).
 
     Their squares are the roots of x^2 - delta x + det(gamma) = 0.  Raises
     InvalidCovarianceError when the roots are complex beyond rounding or
     the smaller one is below ``-tol``; NaN invariants fail both checks.
+    The rounding allowed scales with delta^2 and 4 |det(gamma)|, or with
+    ``delta_terms``^2 when larger: |det A| + |det B| + 2 |det C|, whose
+    square bounds the terms that cancel in the discriminant.
     """
     disc = delta * delta - 4.0 * det_gamma
-    scale = max(1.0, delta * delta, 4.0 * abs(det_gamma))
+    scale = max(1.0, delta * delta, 4.0 * abs(det_gamma), delta_terms * delta_terms)
     if not disc >= -PHYSICALITY_TOL * scale:
         raise InvalidCovarianceError(
             f"no real symplectic spectrum: Delta^2 - 4 det = {disc:.3e}"
@@ -250,9 +253,12 @@ def symplectic_eigenvalues(state: GaussianState) -> tuple[float, float]:
     to the absolute eigenvalues of i J cov."""
     require_two_modes(state)
     det_a, det_b, det_c, det_gamma = block_determinants(state.cov)
-    # delta of the matrix itself, not of its partial transpose
+    # delta of the matrix itself, not of its partial transpose; on a pure
+    # state it is 1/2 while its terms grow like e^{4r}, so the rounding
+    # allowed scales with the terms
     delta, _ = simon_margin(det_a, det_b, -det_c, det_gamma)
-    return symplectic_spectrum(delta, det_gamma)
+    return symplectic_spectrum(delta, det_gamma,
+                               delta_terms=abs(det_a) + abs(det_b) + 2.0 * abs(det_c))
 
 
 def min_symplectic_eigenvalue(state: GaussianState) -> float:

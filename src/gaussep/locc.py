@@ -23,6 +23,7 @@ observable; the schemes only consume expectation values.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ from .core import (
     require_valid,
 )
 from .exceptions import InsufficientShotsError, InvalidStateError
-from .sampling import covariance_and_se, derive_rng, mean_and_se, sample_wigner
+from .sampling import _draw, _empty, _in_order, covariance_and_se, derive_rng, mean_and_se
 
 GROUP_LABELS = ("A", "B", "C", "D", "E")
 
@@ -101,21 +102,43 @@ def random_pairs(state: GaussianState, n_shots: int, seed: int, choice_key: int)
     drawn on ``(seed, 0)``; per column, the shots whose party measured it,
     from each party's q or p choices drawn on ``(seed, choice_key)``; and
     per cross entry (i, j) of gamma the covariance from the shots that
-    measured both i and j."""
-    rows = sample_wigner(state, n_shots, seed, 0)
-    choice_rng = derive_rng(seed, choice_key)
-    alice_q = choice_rng.random(n_shots) < 0.5
-    bob_q = choice_rng.random(n_shots) < 0.5
-    sides = {0: alice_q, 1: ~alice_q, 2: bob_q, 3: ~bob_q}
-    masks = {(i, j): sides[i] & sides[j] for i in (0, 1) for j in (2, 3)}
-    if min(int(m.sum()) for m in masks.values()) < MIN_SHOTS:
-        raise InsufficientShotsError(
-            f"a random quadrature pair received fewer than {MIN_SHOTS} of {n_shots} shots"
-        )
-    # gather each subset's columns directly rather than copying its whole rows
-    pairs = {(i, j): covariance_and_se(rows[mask, i], rows[mask, j])
-             for (i, j), mask in masks.items()}
-    return rows, sides, pairs
+    measured both i and j.  The two substreams are drawn concurrently."""
+    return _in_order(_pair_jobs(state, n_shots, seed, choice_key), n_shots)[1]
+
+
+def _pair_jobs(state, n_shots, seed, choice_key):
+    """The jobs of :func:`random_pairs`, for :func:`_in_order`: the choices,
+    then the rows, whose finishing step returns the result."""
+    sides, picks = {}, {}
+
+    def split(choices):
+        alice_q, bob_q = choices
+        sides.update({0: alice_q, 1: ~alice_q, 2: bob_q, 3: ~bob_q})
+        # gather by index: faster than a boolean mask, with the same values
+        picks.update({(i, j): np.flatnonzero(sides[i] & sides[j]) for i in (0, 1) for j in (2, 3)})
+
+    def pairs_of(rows):
+        if min(p.size for p in picks.values()) < MIN_SHOTS:
+            raise InsufficientShotsError(
+                f"a random quadrature pair received fewer than {MIN_SHOTS} of {n_shots} shots"
+            )
+        # gather each subset's columns directly rather than copying its whole rows
+        pairs = {(i, j): covariance_and_se(rows[p, i], rows[p, j]) for (i, j), p in picks.items()}
+        return rows, sides, pairs
+
+    return [
+        (split, _choose, derive_rng(seed, choice_key), _empty(n_shots),
+         np.empty((2, n_shots), dtype=bool)),
+        (pairs_of, _draw, state, derive_rng(seed, 0), _empty(n_shots, state.means.size)),
+    ]
+
+
+def _choose(rng, uniform, choices):
+    """``choices``, each party's row filled with ``uniform`` draws < 1/2."""
+    for party in choices:
+        rng.random(out=uniform)
+        np.less(uniform, 0.5, out=party)
+    return choices
 
 
 def _symmetrized(rows):
@@ -124,34 +147,45 @@ def _symmetrized(rows):
             (2, 3): covariance_and_se(rows[:, 2], rows[:, 3])}
 
 
+def _group(label, rows):
+    """Group ``label``'s entries and means from its rows."""
+    if label == "C":
+        return _symmetrized(rows), {}
+    i, j = _PAIR_COLUMNS[label]
+    entries, means = {(i, j): covariance_and_se(rows[:, i], rows[:, j])}, {}
+    if label in ("A", "B"):
+        # diagonal entries and the means come from the same records
+        for col in (i, j):
+            entries[col, col] = covariance_and_se(rows[:, col], rows[:, col])
+            means[col] = mean_and_se(rows[:, col])
+    return entries, means
+
+
 def _scheme_i(state, plan, seed):
+    n = plan.shots_per_group
+    # each group's rows are made when its draw is started and freed once
+    # its statistics are taken, which bounds peak memory
+    jobs = ((functools.partial(_group, label), _draw, state, derive_rng(seed, gi),
+             _empty(n, state.means.size)) for gi, label in enumerate(GROUP_LABELS))
     entries, means = {}, {}
-    for gi, label in enumerate(GROUP_LABELS):
-        # one group's rows at a time, which bounds peak memory
-        rows = sample_wigner(state, plan.shots_per_group, seed, gi)
-        if label == "C":
-            entries.update(_symmetrized(rows))
-            continue
-        i, j = _PAIR_COLUMNS[label]
-        entries[i, j] = covariance_and_se(rows[:, i], rows[:, j])
-        if label in ("A", "B"):
-            # diagonal entries and the means come from the same records
-            for col in (i, j):
-                entries[col, col] = covariance_and_se(rows[:, col], rows[:, col])
-                means[col] = mean_and_se(rows[:, col])
+    for group_entries, group_means in _in_order(jobs, n):
+        entries.update(group_entries)
+        means.update(group_means)
     return entries, means
 
 
 def _scheme_ii(state, plan, seed):
     n = plan.shots_per_group
-    rows, sides, entries = random_pairs(state, 4 * n, seed, 100)
+    symmetrized = (_symmetrized, _draw, state, derive_rng(seed, 1), _empty(n, state.means.size))
+    _, (rows, sides, entries), sym = _in_order([*_pair_jobs(state, 4 * n, seed, 100),
+                                                symmetrized], n)
     means = {}
     # each party sees its own quadrature on every shot where it chose it
     for col, mask in sides.items():
-        v = rows[mask, col]
+        v = rows[np.flatnonzero(mask), col]
         entries[col, col] = covariance_and_se(v, v)
         means[col] = mean_and_se(v)
-    entries.update(_symmetrized(sample_wigner(state, n, seed, 1)))
+    entries.update(sym)
     return entries, means
 
 

@@ -7,20 +7,13 @@ tr(A cov) + mu^T A mu and Re<A B> = <A><B> + 2 tr(A cov B cov) +
 """
 
 import functools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import symplectic_form
-from .sampling import BLOCK_ROWS, MomentEstimate, _wigner_blocks, derive_rng, mean_and_se
-
-
-# Fewer shots than this do not repay starting a thread pool, about 0.7 ms
-# (3.5 ms at the 90th percentile) for two threads on a 2-CPU host: sampled
-# stokes took 17% longer on two threads at 1e4 shots and 10% less at 2e4.
-POOL_MIN_SHOTS = 4 * BLOCK_ROWS
+from .sampling import (MomentEstimate, _empty, _in_order, _wigner_blocks, derive_rng,
+                       mean_and_se)
 
 
 class QuadForm(NamedTuple):
@@ -61,47 +54,28 @@ def measure(readouts, n_shots: int | None = None, seed: int = 0) -> list[MomentE
     """Each ``(product, out, key)`` on the state ``out``, exact if ``n_shots``
     is None, else averaged over Wigner samples drawn on ``(seed, *key)``.
 
-    Sampled readouts are independent jobs, one substream each.  From
-    ``POOL_MIN_SHOTS`` shots on they run on a thread pool with one worker
-    per CPU this process may use, at most one per readout, and every worker
-    is joined before this returns or raises; numpy releases the interpreter
-    lock in the draws, matrix products and ufunc loops.  A job draws and
-    evaluates block by block and returns only its per-shot values; their
-    means and errors are taken here, in readout order, so the results are
-    the same bytes as those of an inline run.  Workers run only private
-    code: no public function of the package leaves the calling thread.
+    Sampled readouts are independent jobs of
+    :func:`gaussep.sampling._in_order`, one substream each, which runs
+    them concurrently from ``POOL_MIN_SHOTS`` shots on.  A job draws and
+    evaluates block by block and fills only its per-shot values; their
+    means and errors are taken on the calling thread, in readout order, so
+    the results are the same bytes as those of an inline run.
     """
     if n_shots is None:
         return [MomentEstimate(_wigner_mean(factors, out.means, out.cov) + offset, 0.0, 0)
                 for (factors, offset), out, _ in readouts]
     readouts = list(readouts)
-    draws = [(_shot_terms(factors), out, derive_rng(seed, *key))
-             for (factors, _), out, key in readouts]
-    run = functools.partial(_sampled_per_shot, n_shots)
-    workers = min(len(draws), _usable_cpus()) if n_shots >= POOL_MIN_SHOTS else 1
-    if workers > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            estimates = [mean_and_se(values) for values in pool.map(run, draws)]
-    else:
-        estimates = [mean_and_se(values) for values in map(run, draws)]
+    jobs = ((mean_and_se, _sampled_per_shot, _shot_terms(factors), out, derive_rng(seed, *key),
+             _empty(n_shots)) for (factors, _), out, key in readouts)
     return [MomentEstimate(est.value + offset, est.std_error, est.n_shots)
-            for est, ((_, offset), _, _) in zip(estimates, readouts)]
+            for est, ((_, offset), _, _) in zip(_in_order(jobs, n_shots), readouts)]
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _sampled_per_shot(n_shots: int, draw) -> np.ndarray:
-    """Per-shot values of the readout with factor ``terms`` on ``n_shots``
-    samples of ``out`` from ``rng``, for ``draw = (terms, out, rng)``;
-    evaluated block by block, so no block outlives its evaluation."""
-    terms, out, rng = draw
-    blocks = _wigner_blocks(out, n_shots, rng)
-    values = np.empty(n_shots)
-    for rows, block in blocks:
+def _sampled_per_shot(terms: tuple[tuple, ...], out, rng, values: np.ndarray) -> np.ndarray:
+    """``values``, filled with the per-shot values of the readout with
+    factor ``terms`` on Wigner samples of ``out`` from ``rng``; evaluated
+    block by block, so no block outlives its evaluation."""
+    for rows, block in _wigner_blocks(out, values.size, rng):
         values[rows] = _per_shot_product(terms, block)
     return values
 

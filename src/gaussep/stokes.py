@@ -239,14 +239,16 @@ _PRODUCTS = {
 }
 
 
-def _measured(network, state: GaussianState, n_shots: int | None = None, seed: int = 0,
-              *key: int) -> list[StokesReadout]:
-    """Every readout of ``network`` through :func:`measure`; readout
-    ``index`` draws on the substream ``(seed, *key, index)``."""
+def _measured(state: GaussianState, keyed_networks, n_shots: int | None = None,
+              seed: int = 0) -> list[StokesReadout]:
+    """Every readout of each ``(network, key)`` through one :func:`measure`
+    call; readout ``index`` of a network draws on ``(seed, *key, index)``."""
     require_valid(state)
-    readouts = _readouts(network)
-    programs = enumerate(zip(readouts, _outputs(network, state)))
-    jobs = [(_PRODUCTS[name], out, (*key, index)) for index, ((name, _, _), out) in programs]
+    readouts, jobs = [], []
+    for network, key in keyed_networks:
+        programs = enumerate(zip(_readouts(network), _outputs(network, state)))
+        jobs += [(_PRODUCTS[name], out, (*key, index)) for index, ((name, _, _), out) in programs]
+        readouts += _readouts(network)
     estimates = zip(readouts, measure(jobs, n_shots, seed))
     return [StokesReadout(name, phases, est) for (name, phases, _), est in estimates]
 
@@ -256,7 +258,7 @@ def propagated_expectations(network, state: GaussianState) -> list[StokesReadout
 
     Independent of :func:`expect_stokes`; the two must agree exactly.
     """
-    return _measured(network, state)
+    return _measured(state, [(network, ())])
 
 
 def sample_stokes(network, state: GaussianState, n_shots: int, seed: int,
@@ -264,7 +266,7 @@ def sample_stokes(network, state: GaussianState, n_shots: int, seed: int,
     """Monte Carlo readouts: Wigner-sampled per-shot averages plus the
     commutator constants that make them unbiased operator estimates.
     Readout ``index`` draws on the substream ``(seed, *key, index)``."""
-    return _measured(network, state, n_shots, seed, *key)
+    return _measured(state, [(network, key)], n_shots, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +498,13 @@ def full_pipeline(state: GaussianState, config: StokesConfig | None = None,
     """
     require_two_modes(state)
     config = config or StokesConfig()
-    readouts = []
-    for scope, network in enumerate(config.networks()):
-        if n_shots is None:
-            readouts += expect_stokes(network, state)
-        else:
-            readouts += sample_stokes(network, state, n_shots, seed, scope)
+    if n_shots is None:
+        readouts = [r for network in config.networks() for r in expect_stokes(network, state)]
+    else:
+        # one measure call for all three networks keeps every CPU busy;
+        # network ``scope`` draws readout ``index`` on (seed, scope, index)
+        readouts = _measured(state, [(network, (scope,)) for scope, network
+                                     in enumerate(config.networks())], n_shots, seed)
     means, gamma, gamma_se, margin_se = reconstruct(
         [r.value.value for r in readouts], [r.value.std_error for r in readouts], config
     )

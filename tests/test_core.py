@@ -11,6 +11,7 @@ from gaussep import (
     Verdict,
     block_decomposition,
     min_symplectic_eigenvalue,
+    symplectic_eigenvalues,
     partial_trace,
     partial_transpose,
     project_to_valid,
@@ -110,6 +111,13 @@ class TestSymplecticEigenvalues:
             oracle = np.min(np.abs(np.linalg.eigvals(1j * J @ state.cov)))
             xi = min_symplectic_eigenvalue(state)
             assert abs(xi - oracle) <= 1e-8 * oracle
+
+    def test_pure_tmsv_at_strong_squeezing(self):
+        # det(gamma) and the terms of delta grow like e^{8r} and e^{4r} while
+        # delta stays 1/2, so the discriminant's rounding grows with r
+        for r in np.arange(0.0, 7.0 + 1e-9, 0.25):
+            values = symplectic_eigenvalues(two_mode_squeezed_vacuum(r))
+            assert max(abs(v - 0.5) for v in values) <= 2e-4, r
 
     def test_impossible_spectrum_rejected(self):
         # symmetric matrix whose delta^2 - 4 det is well below zero, so no

@@ -18,8 +18,9 @@ import pytest
 
 import gaussep
 import wick
-from gaussep import (GaussianState, InvalidCovarianceError, StokesConfig, full_pipeline,
-                     method3_c, sample_stokes, sample_wigner, tensor_product, vacuum)
+from gaussep import (FiveGroupPlan, GaussianState, InvalidCovarianceError, StokesConfig,
+                     full_pipeline, method3_c, run_scheme, run_two_copy, sample_stokes,
+                     sample_wigner, tensor_product, vacuum)
 from gaussep import core, moments, sampling
 from gaussep.moments import QuadForm, measure
 from gaussep.sampling import BLOCK_ROWS, derive_rng
@@ -169,7 +170,7 @@ def test_offsets_computed_once_when_readouts_are_defined(monkeypatch):
 
 
 # enough shots for the thread pool, ending in a short block
-_THREADED_SHOTS = moments.POOL_MIN_SHOTS + 5
+_THREADED_SHOTS = sampling.POOL_MIN_SHOTS + 5
 
 
 def _on_cpus(monkeypatch, count):
@@ -221,6 +222,74 @@ def test_threaded_path_raises_as_inline_path(monkeypatch):
     assert messages[0] == messages[1]
 
 
+def _off_main_draws(monkeypatch):
+    """The threads other than the main one that drew Wigner blocks for
+    ``sampling._draw``."""
+    threads = set()
+    inner = sampling._wigner_blocks
+
+    def recorded(state, n_shots, rng):
+        if threading.current_thread() is not threading.main_thread():
+            threads.add(threading.get_ident())
+        return inner(state, n_shots, rng)
+
+    monkeypatch.setattr(sampling, "_wigner_blocks", recorded)
+    return threads
+
+
+def _threaded_schemes(state):
+    """Both locc variants and two-copy method 1, with enough shots per
+    substream for the thread pool."""
+    return (
+        run_scheme(state, FiveGroupPlan(_THREADED_SHOTS), seed=5),
+        run_scheme(state, FiveGroupPlan(_THREADED_SHOTS, "scheme_ii"), seed=6),
+        run_two_copy(state, "method1", _THREADED_SHOTS, seed=7),
+    )
+
+
+def test_threaded_schemes_equal_inline_bytes(monkeypatch):
+    state = random_signal_state(np.random.default_rng(23))
+    threads_before = threading.active_count()
+    results = {}
+    for cpus in (1, 4):
+        _on_cpus(monkeypatch, cpus)
+        off_main = _off_main_draws(monkeypatch)
+        results[cpus] = pickle.dumps(_threaded_schemes(state))
+        assert threading.active_count() == threads_before
+        assert bool(off_main) == (cpus > 1)
+    assert results[1] == results[4]
+
+
+@pytest.mark.parametrize("scheme, failing_key", [
+    ("scheme_i", (2,)),     # group C, while other groups are drawn
+    ("scheme_ii", (1,)),    # the symmetrized rows
+    ("method1", (0,)),      # the random-pair rows
+])
+def test_threaded_scheme_draw_raises_as_inline(monkeypatch, scheme, failing_key):
+    inner = sampling._wigner_blocks
+
+    def failing(state, n_shots, rng):
+        key = rng.bit_generator.seed_seq.spawn_key
+        if key == failing_key:
+            raise InvalidCovarianceError(f"draw {key} failed")
+        return inner(state, n_shots, rng)
+
+    monkeypatch.setattr(sampling, "_wigner_blocks", failing)
+    state = random_signal_state(np.random.default_rng(24))
+    threads_before = threading.active_count()
+    messages = []
+    for cpus in (1, 4):
+        _on_cpus(monkeypatch, cpus)
+        with pytest.raises(InvalidCovarianceError) as info:
+            if scheme == "method1":
+                run_two_copy(state, "method1", _THREADED_SHOTS, seed=3)
+            else:
+                run_scheme(state, FiveGroupPlan(_THREADED_SHOTS, scheme), seed=3)
+        assert threading.active_count() == threads_before
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == f"draw {failing_key} failed"
+
+
 def test_public_functions_stay_on_the_calling_thread(monkeypatch):
     calls = {}
 
@@ -248,7 +317,11 @@ def test_public_functions_stay_on_the_calling_thread(monkeypatch):
     full_pipeline(state, n_shots=_THREADED_SHOTS, seed=7)
     assert off_main
     assert calls["gaussep.sampling.mean_and_se"] == 14
-    assert calls["gaussep.moments.measure"] == 3
+    assert calls["gaussep.moments.measure"] == 1
+    # the locc groups, the random-pair rows and choices, and method 1
+    off_main_draws = _off_main_draws(monkeypatch)
+    _threaded_schemes(state)
+    assert off_main_draws
     # and a public function called from another thread would have failed
     failures = []
 
