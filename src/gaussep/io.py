@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .core import GaussianState, tensor_product
-from .exceptions import InvalidStateError
+from .exceptions import GaussepError, InvalidStateError
 from .states import (
     ReferenceStateParams,
     displaced_squeezed_thermal,
@@ -109,11 +109,11 @@ def _check_params(kind: str, params: dict, allowed: set) -> None:
 
 
 def state_from_spec(spec: dict) -> GaussianState:
-    """Build a state from a spec dictionary; unknown keys are rejected."""
+    """Build a state from a spec dictionary; unknown keys are rejected.  A
+    constructor's error is re-raised as its own type, prefixed with the
+    kind and the params given."""
     if not isinstance(spec, dict) or set(spec) - {"kind", "params"}:
-        raise InvalidStateError(
-            "state spec must be {'kind': ..., 'params': {...}}"
-        )
+        raise InvalidStateError("state spec must be {'kind': ..., 'params': {...}}")
     kind = spec.get("kind")
     params = spec.get("params", {}) or {}
     if not isinstance(params, dict):
@@ -128,26 +128,29 @@ def state_from_spec(spec: dict) -> GaussianState:
 
     if kind == "vacuum":
         _check_params(kind, params, {"n_modes"})
-        return vacuum(number("n_modes", 2, integer=True))
-    if kind == "thermal":
+        build = functools.partial(vacuum, number("n_modes", 2, integer=True))
+    elif kind == "thermal":
         _check_params(kind, params, {"n_bar", "n_bars"})
-        if "n_bars" in params:
-            bars = number_list("n_bars", params["n_bars"])
-            if not bars:
-                raise InvalidStateError("'n_bars' must list at least one number")
-            return functools.reduce(tensor_product, map(thermal, bars))
-        return thermal(number("n_bar", 0.0))
-    if kind == "dst":
-        return displaced_squeezed_thermal(reference_params_from_dict(params, "dst"))
-    if kind == "tmsv":
+        bars = (number_list("n_bars", params["n_bars"]) if "n_bars" in params
+                else [number("n_bar", 0.0)])
+        if not bars:
+            raise InvalidStateError("'n_bars' must list at least one number")
+        build = functools.partial(functools.reduce, tensor_product, map(thermal, bars))
+    elif kind == "dst":
+        build = functools.partial(displaced_squeezed_thermal,
+                                  reference_params_from_dict(params, "dst"))
+    elif kind == "tmsv":
         _check_params(kind, params, {"r"})
-        return two_mode_squeezed_vacuum(number("r", 0.5))
-    if kind == "simon":
+        build = functools.partial(two_mode_squeezed_vacuum, number("r", 0.5))
+    elif kind == "simon":
         _check_params(kind, params, {"lambda", "mu", "s", "t"})
-        return simon_form(*(number(key) for key in ("lambda", "mu", "s", "t")))
-    _check_params(kind, params, {"seed", "max_squeeze", "max_thermal"})
-    return random_state(
-        number("seed", 0, integer=True),
-        max_squeeze=number("max_squeeze", 1.0),
-        max_thermal=number("max_thermal", 2.0),
-    )
+        build = functools.partial(simon_form, *(number(key) for key in ("lambda", "mu", "s", "t")))
+    else:
+        _check_params(kind, params, {"seed", "max_squeeze", "max_thermal"})
+        build = functools.partial(random_state, number("seed", 0, integer=True),
+                                  max_squeeze=number("max_squeeze", 1.0),
+                                  max_thermal=number("max_thermal", 2.0))
+    try:
+        return build()
+    except GaussepError as exc:
+        raise type(exc)(f"state kind {kind!r} with params {params}: {exc}") from exc

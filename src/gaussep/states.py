@@ -17,6 +17,8 @@ import numpy as np
 from .core import GaussianState, physicality_eigenvalues
 from .exceptions import InvalidCovarianceError, InvalidStateError
 from .transforms import (
+    _placed,
+    _propagated,
     _squeezer_matrix,
     apply_transform,
     displacement,
@@ -138,10 +140,9 @@ def displaced_squeezed_thermal(params: ReferenceStateParams) -> GaussianState:
     Built by applying the squeezer and then the displacement to the
     thermal state; the moments coincide with :func:`reference_moments`.
     """
-    state = thermal(params.n_bar)
-    state = apply_transform(state, single_mode_squeezer(params.theta, params.gamma))
     alpha = params.d * complex(math.cos(params.beta), math.sin(params.beta))
-    return apply_transform(state, displacement(alpha))
+    steps = (single_mode_squeezer(params.theta, params.gamma), displacement(alpha))
+    return GaussianState(*_propagated(thermal(params.n_bar), steps))
 
 
 def two_mode_squeezed_vacuum(r: float) -> GaussianState:
@@ -168,25 +169,13 @@ def simon_form(lam: float, mu: float, s: float, t: float) -> GaussianState:
     return state
 
 
-def _rng_from(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def random_passive(rng: np.random.Generator, n_modes: int = 2) -> np.ndarray:
     """Random passive (energy-conserving) symplectic matrix from phase
     shifters and 50-50 beam splitters on a rotated mode pair."""
-    def placed(block, modes):
-        out = np.eye(2 * n_modes)
-        idx = [i for m in modes for i in (2 * m, 2 * m + 1)]
-        out[np.ix_(idx, idx)] = block
-        return out
-
     def shifter(m):
         phi = rng.uniform(0, 2 * math.pi)
         c, s = np.cos(phi), np.sin(phi)
-        return placed(np.array([[c, -s], [s, c]]), [m])
+        return _placed(np.array([[c, -s], [s, c]]), n_modes, [m])
 
     out = shifter(0)
     for m in range(1, n_modes):
@@ -195,7 +184,8 @@ def random_passive(rng: np.random.Generator, n_modes: int = 2) -> np.ndarray:
         theta = rng.uniform(0, 2 * math.pi)
         c, s = math.cos(theta), math.sin(theta)
         eye = np.eye(2)
-        out = placed(np.block([[c * eye, -s * eye], [s * eye, c * eye]]), [m, m + 1]) @ out
+        out = _placed(np.block([[c * eye, -s * eye], [s * eye, c * eye]]), n_modes,
+                      [m, m + 1]) @ out
     for m in range(n_modes):
         out = shifter(m) @ out
     return out
@@ -212,17 +202,13 @@ def random_state(seed, max_squeeze: float = 1.0, max_thermal: float = 2.0) -> Ga
     """
     if max_squeeze < 0 or max_thermal < 0:
         raise InvalidStateError("max_squeeze and max_thermal must be >= 0")
-    rng = _rng_from(seed)
+    rng = np.random.default_rng(seed)  # a Generator is returned as it is
     nu = rng.uniform(0.5, 0.5 + max_thermal, size=2)
     base = np.diag([nu[0], nu[0], nu[1], nu[1]])
     squeeze = np.eye(4)
     for m in range(2):
-        # the plain matrix that embedding a checked squeezer would give
-        sq = np.eye(4)
-        sq[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = _squeezer_matrix(
-            rng.uniform(0.0, max_squeeze), rng.uniform(0, 2 * math.pi)
-        )
-        squeeze = sq @ squeeze
+        sq = _squeezer_matrix(rng.uniform(0.0, max_squeeze), rng.uniform(0, 2 * math.pi))
+        squeeze = _placed(sq, 2, [m]) @ squeeze
     S = random_passive(rng) @ squeeze @ random_passive(rng)
     return GaussianState(means=np.zeros(4), cov=S @ base @ S.T)
 

@@ -76,7 +76,7 @@ from .states import (
     reference_moments,
     vacuum,
 )
-from .transforms import apply_transform, beam_splitter_50_50, embed, phase_shifter
+from .transforms import _propagated, beam_splitter_50_50, embed, phase_shifter
 
 DEFAULT_SINGLE_REFERENCE = ReferenceStateParams(n_bar=0.0, d=1.0, beta=0.0, theta=0.2)
 DEFAULT_REFERENCE_C = ReferenceStateParams(n_bar=0.0, d=1.0, beta=0.0, theta=0.2)
@@ -173,9 +173,9 @@ def expect_stokes(network, state: GaussianState) -> list[StokesReadout]:
 
 # ---------------------------------------------------------------------------
 # network propagation: the joint output state and the quadratic-form
-# product for each readout; exact oracle and engine of the sampled
-# backend.  The reference state and each setting's steps are built once
-# per network; per state, each setting applies its steps in order, once.
+# product for each readout; exact oracle and engine of the sampled backend.
+# The reference state and each setting's steps are built once per network;
+# per state, each setting propagates arrays through its steps into one state.
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=256)
@@ -216,9 +216,7 @@ def _outputs(network, state: GaussianState) -> list[GaussianState]:
         state = partial_trace(state, [network.mode])
     reference, settings = _settings(network)
     joint = tensor_product(state, reference)
-    outputs = {
-        setting: functools.reduce(apply_transform, steps, joint) for setting, steps in settings
-    }
+    outputs = {setting: GaussianState(*_propagated(joint, steps)) for setting, steps in settings}
     return [outputs[setting] for _, _, setting in readouts]
 
 

@@ -60,10 +60,16 @@ def apply_transform(state: GaussianState, transform: SymplecticTransform) -> Gau
         raise InvalidStateError(
             f"transform acts on {transform.n_modes} modes, state has {state.n_modes}"
         )
-    S = transform.matrix
-    return GaussianState(
-        means=S @ state.means + transform.shift, cov=S @ state.cov @ S.T
-    )
+    return GaussianState(*_propagated(state, [transform]))
+
+
+def _propagated(state: GaussianState, steps) -> tuple[np.ndarray, np.ndarray]:
+    """Means and covariance of ``state`` after each of ``steps`` in turn, unchecked."""
+    means, cov = state.means, state.cov
+    for step in steps:
+        S = step.matrix
+        means, cov = S @ means + step.shift, S @ cov @ S.T
+    return means, cov
 
 
 def compose(second: SymplecticTransform, first: SymplecticTransform) -> SymplecticTransform:
@@ -85,12 +91,17 @@ def embed(transform: SymplecticTransform, n_modes: int, modes) -> SymplecticTran
         )
     if len(set(modes)) != len(modes) or any(m < 0 or m >= n_modes for m in modes):
         raise InvalidStateError(f"invalid target modes {modes} for n={n_modes}")
-    S = np.eye(2 * n_modes)
     shift = np.zeros(2 * n_modes)
-    idx = np.concatenate([[2 * m, 2 * m + 1] for m in modes]).astype(int)
-    S[np.ix_(idx, idx)] = transform.matrix
-    shift[idx] = transform.shift
-    return SymplecticTransform(matrix=S, shift=shift)
+    shift[[i for m in modes for i in (2 * m, 2 * m + 1)]] = transform.shift
+    return SymplecticTransform(matrix=_placed(transform.matrix, n_modes, modes), shift=shift)
+
+
+def _placed(block: np.ndarray, n_modes: int, modes) -> np.ndarray:
+    """The 2n x 2n identity with ``block`` on the quadratures of ``modes``."""
+    out = np.eye(2 * n_modes)
+    idx = [i for m in modes for i in (2 * m, 2 * m + 1)]
+    out[np.ix_(idx, idx)] = block
+    return out
 
 
 def phase_shifter(phi: float) -> SymplecticTransform:

@@ -72,10 +72,14 @@ from .moments import cross_intensity, cross_phase, measure, product
 from .sampling import derive_rng
 from .states import ReferenceStateParams
 from .stokes import SingleModeNetwork, network_design, sample_stokes
-from .transforms import apply_transform, embed, opa, rotation_theta, SymplecticTransform
+from .transforms import (SymplecticTransform, _propagated, apply_transform, embed, opa,
+                         rotation_theta)
 
 _ROOT_TOL = 1e-9
 _MEANS_TOL = 1e-9
+# the reference of the displacement pre-step; its two <S1> rows over
+# (<q>, <p>) have determinant 2 d^2 = 2, so the mean system is regular
+_MEANS_REFERENCE = ReferenceStateParams(d=1.0, theta=0.2)
 
 
 @dataclass(frozen=True)
@@ -385,24 +389,18 @@ _OPA_PRODUCTS = (
 )
 
 
-def _estimate_means_stokes(state, n_shots, seed, ref):
+def _estimate_means_stokes(state, n_shots, seed):
     """Interferometric mean estimation for the displacement pre-step.
 
     Samples only the two <S1> readouts per mode and solves their 2x2 rows
     of the Stokes design for (<q>, <p>); 4 n_shots copies in total."""
     means = np.zeros(4)
     for mode in (0, 1):
-        net = SingleModeNetwork(mode=mode, reference=ref, s1sq_phases=())
+        net = SingleModeNetwork(mode=mode, reference=_MEANS_REFERENCE, s1sq_phases=())
         design, offset = network_design(net)
-        matrix = design[:, 2 * mode : 2 * mode + 2]
-        if abs(np.linalg.det(matrix)) < 1e-10:
-            raise ConditioningError(
-                "mean-estimation system singular; the displacement pre-step "
-                "needs a reference with nonzero d"
-            )
         readouts = sample_stokes(net, state, n_shots, seed, 10 + mode)
         rhs = np.array([r.value.value for r in readouts]) - offset
-        means[2 * mode : 2 * mode + 2] = np.linalg.solve(matrix, rhs)
+        means[2 * mode : 2 * mode + 2] = np.linalg.solve(design[:, 2 * mode : 2 * mode + 2], rhs)
     return means
 
 
@@ -422,13 +420,11 @@ def method3_c(state: GaussianState, params: OpaParams | None = None,
         if n_shots is None:
             means_hat = state.means.copy()
         else:
-            means_hat = _estimate_means_stokes(
-                state, n_shots, seed, ReferenceStateParams(d=1.0, theta=0.2)
-            )
+            means_hat = _estimate_means_stokes(state, n_shots, seed)
             shots_used += 4 * n_shots
         state = GaussianState(means=state.means - means_hat, cov=state.cov)
     # rho (x) rho through both amplifiers
-    out = functools.reduce(apply_transform, _opa_steps(params), tensor_product(state, state))
+    out = GaussianState(*_propagated(tensor_product(state, state), _opa_steps(params)))
     estimates = measure([(readout, out, (20 + i,)) for i, readout in enumerate(_OPA_PRODUCTS)],
                         n_shots, seed)
     values = np.array([est.value for est in estimates])

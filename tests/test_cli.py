@@ -253,9 +253,15 @@ class TestSimulate:
             ({"scheme": "stokes", "scheme_params": {"ref_c": {"d": "x"}}}, "'ref_c.d'"),
             ({"scheme": "twocopy_m3", "scheme_params": {"opa": {"g1": "x"}}}, "'opa.g1'"),
             ({"scheme": "twocopy_m3", "scheme_params": {"opa": [1]}}, "opa must be an object"),
+            # a state constructor's own error names the params given
+            ({"state": {"kind": "tmsv", "params": {"r": 30}}}, "'r'"),
+            ({"state": {"kind": "thermal", "params": {"n_bar": -1}}}, "'n_bar'"),
+            ({"state": {"kind": "simon", "params": {"lambda": 0.5, "mu": 0.5, "s": 1, "t": 1}}},
+             "'s'"),
         ],
         ids=["shots", "shots-huge", "shots-too-many-rows", "seed", "r", "phi1", "phi2_values",
-             "ref_c.d", "opa.g1", "opa-list"],
+             "ref_c.d", "opa.g1", "opa-list", "r-not-symplectic", "n_bar-negative",
+             "simon-unphysical"],
     )
     def test_malformed_value_exit_three(self, tmp_path, capsys, overrides, named):
         cfg = {"state": {"kind": "tmsv", "params": {"r": 0.5}}, "scheme": "locc_i",

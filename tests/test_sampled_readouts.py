@@ -12,16 +12,18 @@ import os
 import pickle
 import sys
 import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import gaussep
 import wick
-from gaussep import (FiveGroupPlan, GaussianState, InvalidCovarianceError, StokesConfig,
-                     full_pipeline, method3_c, run_scheme, run_two_copy, sample_stokes,
-                     sample_wigner, tensor_product, vacuum)
-from gaussep import core, moments, sampling
+from gaussep import (FiveGroupPlan, GaussianState, InvalidCovarianceError, SingleModeNetwork,
+                     StokesConfig, full_pipeline, method3_c, run_scheme, run_two_copy,
+                     sample_stokes, sample_wigner, tensor_product, vacuum)
+from gaussep import core, locc, moments, sampling
 from gaussep.moments import QuadForm, measure
 from gaussep.sampling import BLOCK_ROWS, derive_rng
 from gaussep.stokes import _PRODUCTS, _outputs, _readouts
@@ -288,6 +290,61 @@ def test_threaded_scheme_draw_raises_as_inline(monkeypatch, scheme, failing_key)
         assert threading.active_count() == threads_before
         messages.append(str(info.value))
     assert messages[0] == messages[1] == f"draw {failing_key} failed"
+
+
+def _largest_worker_trace() -> int:
+    """The largest traced allocation whose traceback runs through a pool worker."""
+    worker = os.path.join("concurrent", "futures", "thread.py")
+    for trace in sorted(tracemalloc.take_snapshot().traces, key=lambda t: -t.size):
+        if any(frame.filename.endswith(worker) for frame in trace.traceback):
+            return trace.size
+    return 0
+
+
+def _worker_traces_at_each_finish(monkeypatch, module):
+    """The largest worker trace alive at each finishing step of ``module``'s
+    pooled jobs, while the worker's result is alive."""
+    sizes = []
+    inner = module._in_order
+
+    def finishing(finish):
+        def step(value):
+            sizes.append(_largest_worker_trace())
+            return finish(value)
+        return step
+
+    def traced(jobs, n_shots):
+        return inner(((finishing(finish), *job) for finish, *job in jobs), n_shots)
+
+    monkeypatch.setattr(module, "_in_order", traced)
+    return sizes
+
+
+@pytest.mark.parametrize("module, run", [
+    (locc, lambda state: run_scheme(state, FiveGroupPlan(_THREADED_SHOTS), seed=5)),
+    (locc, lambda state: run_scheme(state, FiveGroupPlan(_THREADED_SHOTS, "scheme_ii"), seed=6)),
+    (moments, lambda state: sample_stokes(SingleModeNetwork(), state, _THREADED_SHOTS, 7)),
+], ids=["locc_i-groups", "locc_ii-rows-and-choices", "measure-per-shot-values"])
+def test_full_size_arrays_are_made_on_the_calling_thread(monkeypatch, module, run):
+    """Workers allocate at most one block of a two-mode draw.  A full-size
+    array of ``_THREADED_SHOTS`` rows (Wigner rows, q/p choices or per-shot
+    values) is larger; made in a worker, it would stay in that worker's
+    malloc arena and raise the process's peak memory."""
+    one_block = (BLOCK_ROWS + 1) * 4 * 8
+    _on_cpus(monkeypatch, 4)
+    sizes = _worker_traces_at_each_finish(monkeypatch, module)
+    state = random_signal_state(np.random.default_rng(25))
+    tracemalloc.start(40)
+    try:
+        run(state)
+        # the check sees an array that a worker made
+        with ThreadPoolExecutor(1) as pool:
+            made = pool.submit(np.empty, _THREADED_SHOTS).result()
+            assert _largest_worker_trace() == made.nbytes > one_block
+    finally:
+        tracemalloc.stop()
+    assert sizes
+    assert max(sizes) <= one_block
 
 
 def test_public_functions_stay_on_the_calling_thread(monkeypatch):

@@ -17,6 +17,7 @@ from gaussep import (
     displacement,
     expect_stokes,
     full_pipeline,
+    method3_c,
     propagated_expectations,
     reference_moments,
     sample_stokes,
@@ -158,6 +159,31 @@ class TestNetworkSettings:
         monkeypatch.setattr(SymplecticTransform, "__post_init__", rebuilt)
         second = run(network, state)
         assert [r.value for r in second] == [r.value for r in first]
+
+    @pytest.mark.parametrize("run, most", [
+        (lambda state: full_pipeline(state, n_shots=2000, seed=3), 14),
+        (lambda state: [propagated_expectations(net, state)
+                        for net in StokesConfig().networks()], 13),
+        (method3_c, 2),
+    ], ids=["sampled-full_pipeline", "propagated_expectations", "analytic-method3_c"])
+    def test_one_checked_state_per_setting(self, monkeypatch, run, most):
+        """Between the elements of a network only arrays move: a call builds
+        the signal's joint state and one checked output state per setting
+        (sampled full_pipeline: 10 single-mode, 3 two-mode and an estimate
+        that needs no projection; method 3: the two copies and their
+        amplified state)."""
+        state = random_signal_state(np.random.default_rng(304), with_means=False)
+        run(state)  # builds and caches the networks' references and steps
+        built = []
+        check = GaussianState.__post_init__
+
+        def counted(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(GaussianState, "__post_init__", counted)
+        run(state)
+        assert len(built) <= most
 
 
 class TestSampledBackend:
