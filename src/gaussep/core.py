@@ -46,6 +46,7 @@ PHYSICALITY_TOL = 1e-10
 VERDICT_TOL = 1e-10
 
 _OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_UPPER = np.triu_indices(4)
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -195,17 +196,18 @@ def partial_transpose(state: GaussianState, mode: int = 1) -> GaussianState:
     return GaussianState(means=refl * state.means, cov=L @ state.cov @ L)
 
 
-def block_determinants(gamma: np.ndarray) -> tuple[float, float, float, float]:
-    """det A, det B, det C and det(gamma) of a 4x4 matrix [[A, C], [C^T, B]]."""
-    blocks = (gamma[:2, :2], gamma[2:, 2:], gamma[:2, 2:], gamma)
-    return tuple(float(np.linalg.det(m)) for m in blocks)
+def block_determinants(gamma: np.ndarray) -> tuple:
+    """det A, det B, det C and det(gamma) of a 4x4 matrix [[A, C], [C^T, B]]:
+    floats, or arrays over the leading axes of a stack of matrices."""
+    blocks = (gamma[..., :2, :2], gamma[..., 2:, 2:], gamma[..., :2, 2:], gamma)
+    dets = tuple(np.linalg.det(m) for m in blocks)
+    return dets if gamma.ndim > 2 else tuple(map(float, dets))
 
 
-def simon_margin(det_a: float, det_b: float, det_c: float,
-                 det_gamma: float) -> tuple[float, float]:
+def simon_margin(det_a, det_b, det_c, det_gamma) -> tuple:
     """(delta, margin) with delta = det A + det B - 2 det C and
     margin = delta - 4 det(gamma) - 1/4; the state is entangled iff
-    margin > 0."""
+    margin > 0.  Elementwise on arrays of determinants."""
     delta = det_a + det_b - 2.0 * det_c
     return delta, delta - 4.0 * det_gamma - 0.25
 
@@ -293,33 +295,45 @@ def simon_criterion(state: GaussianState) -> SeparabilityReport:
     )
 
 
-def margin_of(gamma: np.ndarray) -> float:
-    """det A + det B - 2 det C - 4 det(gamma) - 1/4 for a 4x4 matrix."""
+def _symmetric(upper: np.ndarray) -> np.ndarray:
+    """Symmetric 4x4 matrices of 10 upper-triangle entries, row-major."""
+    out = np.empty(upper.shape[:-1] + (4, 4))
+    out[..., _UPPER[0], _UPPER[1]] = upper
+    out[..., _UPPER[1], _UPPER[0]] = upper
+    return out
+
+
+def margin_of(gamma: np.ndarray):
+    """det A + det B - 2 det C - 4 det(gamma) - 1/4 of a 4x4 matrix, or of
+    each matrix of a stack."""
     return simon_margin(*block_determinants(gamma))[1]
 
 
-# row and column indices of the 16 3x3 minors of a 4x4 matrix, and their signs
-_KEEP = np.array([[k for k in range(4) if k != i] for i in range(4)])
-_MINORS = (_KEEP[:, None, :, None], _KEEP[None, :, None, :])
-_SIGNS = (-1.0) ** np.add.outer(np.arange(4), np.arange(4))
-
-
-def _cofactors(m: np.ndarray) -> np.ndarray:
-    """adj(m)^T, the gradient of det m, for a 2x2 or 4x4 matrix; also
-    defined when m is singular."""
-    if len(m) == 2:
-        return np.array([[m[1, 1], -m[1, 0]], [-m[0, 1], m[0, 0]]])
-    return _SIGNS * np.linalg.det(m[_MINORS])
-
-
-def margin_gradient(gamma: np.ndarray) -> np.ndarray:
-    """Partial derivatives of :func:`margin_of` with respect to each of the
-    16 entries of ``gamma``, taken as independent."""
-    grad = -4.0 * _cofactors(gamma)
-    grad[:2, :2] += _cofactors(gamma[:2, :2])
-    grad[2:, 2:] += _cofactors(gamma[2:, 2:])
-    grad[:2, 2:] -= 2.0 * _cofactors(gamma[:2, 2:])
-    return grad
+def margin_error(margin_of, x, se) -> float:
+    """Standard error, to second order, of a margin of independent sources
+    ``x`` with standard errors ``se``: sqrt(sum g_k^2 + 1/2 sum H_kl^2), the
+    standard deviation of a quadratic form of normal sources, so exact for
+    a margin of degree two.  ``margin_of`` maps a (K, n) stack of source
+    vectors to K margins; one call on x, x +- s_k e_k, x +- 2 s_k e_k and
+    x +- (s_k e_k + s_l e_l) gives g_k, the slope over source k times s_k
+    (exact up to degree four in it), and the second differences H_kl, off
+    the diagonal by polarisation.  Sources whose error is 0 or NaN are
+    dropped; with none left, ``margin_of`` is not called."""
+    x, se = np.asarray(x, dtype=float), np.asarray(se, dtype=float)
+    keep = np.flatnonzero(se > 0)
+    n = keep.size
+    if n == 0:
+        return 0.0
+    steps = np.diag(se)[keep]
+    k, l = np.nonzero(np.less.outer(np.arange(n), np.arange(n)))
+    shifts = np.concatenate([steps, 2.0 * steps, steps[k] + steps[l]])
+    m = margin_of(x + np.concatenate([np.zeros((1, x.size)), shifts, -shifts]))
+    center, plus, minus = m[0], m[1 : len(shifts) + 1], m[len(shifts) + 1 :]
+    odd, even = plus - minus, plus + minus - 2.0 * center
+    g, h = (8.0 * odd[:n] - odd[n : 2 * n]) / 12.0, even[:n]
+    # each off-diagonal term stands for H_kl and H_lk
+    off = (even[2 * n :] - h[k] - h[l]) / 2.0
+    return float(np.sqrt(g @ g + 0.5 * (h @ h) + off @ off))
 
 
 def purity(state: GaussianState) -> float:

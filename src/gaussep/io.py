@@ -128,7 +128,10 @@ def state_from_spec(spec: dict) -> GaussianState:
 
     if kind == "vacuum":
         _check_params(kind, params, {"n_modes"})
-        build = functools.partial(vacuum, number("n_modes", 2, integer=True))
+        n_modes = number("n_modes", 2, integer=True)
+        if n_modes < 1:
+            raise InvalidStateError(f"'n_modes' must be at least 1, got {n_modes}")
+        build = functools.partial(vacuum, n_modes)
     elif kind == "thermal":
         _check_params(kind, params, {"n_bar", "n_bars"})
         bars = (number_list("n_bars", params["n_bars"]) if "n_bars" in params

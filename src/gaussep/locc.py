@@ -19,6 +19,9 @@ symmetrized group.
 Group C outcomes are simulated as per-shot Wigner products q*p, which is
 unbiased for <{q, p}>/2 although it is not the true outcome law of that
 observable; the schemes only consume expectation values.
+
+The margin's error (:func:`gaussep.core.margin_error`) takes the 10
+upper-triangle entries of the estimated covariance matrix as sources.
 """
 
 from __future__ import annotations
@@ -31,8 +34,11 @@ import numpy as np
 from .core import (
     GaussianState,
     SeparabilityReport,
+    _UPPER,
+    _symmetric,
     criterion_of_estimate,
-    margin_gradient,
+    margin_error,
+    margin_of,
     require_two_modes,
     require_valid,
 )
@@ -218,26 +224,11 @@ class EstimatedVerdict:
                 "projection_epsilon": self.projection_epsilon}
 
 
-def margin_std_error(gamma: np.ndarray, gamma_se: np.ndarray) -> float:
-    """First-order error of the criterion margin from per-entry errors.
-
-    Upper-triangle entries are treated as independent estimates, each
-    perturbed symmetrically, so an off-diagonal entry's gradient is the sum
-    over its two mirrored positions.  Entries whose error is zero or NaN
-    are skipped.
-    """
-    grad = margin_gradient(gamma)
-    grad = np.triu(grad + grad.T) - np.diag(np.diag(grad))
-    se = np.triu(np.where(np.isnan(gamma_se), 0.0, gamma_se))
-    return float(np.sqrt(np.sum((grad * se) ** 2)))
-
-
 def verdict_from_estimate(estimate: CovarianceEstimate) -> EstimatedVerdict:
     """The Simon criterion of the estimate, with the margin error
-    propagated from the raw matrix."""
+    propagated from the raw matrix: its 10 upper-triangle entries are
+    independent sources, each perturbed symmetrically."""
     report, eps = criterion_of_estimate(estimate.means_hat, estimate.gamma_hat)
-    return EstimatedVerdict(
-        report=report,
-        margin_std_error=margin_std_error(estimate.gamma_hat, estimate.gamma_se),
-        projection_epsilon=eps,
-    )
+    margin_se = margin_error(lambda upper: margin_of(_symmetric(upper)),
+                             estimate.gamma_hat[_UPPER], estimate.gamma_se[_UPPER])
+    return EstimatedVerdict(report=report, margin_std_error=margin_se, projection_epsilon=eps)

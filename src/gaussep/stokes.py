@@ -35,8 +35,9 @@ Every readout is affine in theta, the 4 means and the 10 raw second
 moments <{x_i, x_j}>/2 of the signal: readouts = design @ theta + offset,
 each design row written from the reference moments behind the readout's
 phase shifters.  A :class:`StokesConfig` defines exactly the 14 readouts
-it solves, with one inverse, and its standard errors are exact
-first-order propagations of readout errors.
+it solves, with one inverse.  The covariance entries' standard errors are
+exact first-order propagations of the independent readout errors; the
+margin's is :func:`gaussep.core.margin_error` over the readouts.
 
 Each network is a fixed list of readouts, each read at one setting (the
 phases of its shifters); the references and the transforms of every
@@ -59,8 +60,11 @@ import numpy as np
 from .core import (
     GaussianState,
     SeparabilityReport,
+    _UPPER,
+    _symmetric,
     criterion_of_estimate,
-    margin_gradient,
+    margin_error,
+    margin_of,
     partial_trace,
     require_two_modes,
     require_valid,
@@ -273,17 +277,14 @@ def sample_stokes(network, state: GaussianState, n_shots: int, seed: int,
 
 # theta holds the means (q1, p1, q2, p2), then the raw second moments
 # <{x_i, x_j}>/2 for i <= j in row-major order
-_UPPER = np.triu_indices(4)
 _COL = {(int(i), int(j)): 4 + k for k, (i, j) in enumerate(zip(*_UPPER))}
 
 
-def _unpack(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Means and symmetric raw second-moment matrix of theta; leading axes
-    of a stack of theta vectors are kept."""
-    raw = np.zeros(theta.shape[:-1] + (4, 4))
-    raw[..., _UPPER[0], _UPPER[1]] = theta[..., 4:]
-    raw[..., _UPPER[1], _UPPER[0]] = theta[..., 4:]
-    return theta[..., :4], raw
+def _moments(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means and covariance matrix of theta; leading axes of a stack of
+    theta vectors are kept."""
+    means = theta[..., :4]
+    return means, _symmetric(theta[..., 4:]) - means[..., :, None] * means[..., None, :]
 
 
 def moment_vector(state: GaussianState) -> np.ndarray:
@@ -442,19 +443,22 @@ def reconstruct(values, errors, config: StokesConfig | None = None):
     """Means, covariance matrix, its per-entry standard errors and the
     margin standard error from the 14 readouts of ``config.networks()``.
 
-    Readouts are independent, so each error is the root sum of squares of
-    one exact first-order term per readout.
+    Readouts are independent: each entry's error is the root sum of
+    squares of one exact first-order term per readout, and the margin's
+    is :func:`gaussep.core.margin_error` over the readouts.
     """
     solver, offset = _config_solver(config or StokesConfig())
-    theta = solver @ (np.asarray(values, dtype=float) - offset)
-    means, raw = _unpack(theta)
-    gamma = raw - np.outer(means, means)
+    values, errors = np.asarray(values, dtype=float), np.asarray(errors, dtype=float)
+    means, gamma = _moments(solver @ (values - offset))
     # change of theta, then of gamma, per one standard error of each readout
-    d_means, d_raw = _unpack((solver * np.asarray(errors, dtype=float)).T)
-    d_gamma = d_raw - d_means[:, :, None] * means - means[:, None] * d_means[:, None, :]
-    d_margin = np.sum(d_gamma * margin_gradient(gamma), axis=(1, 2))
+    d_theta = (solver * errors).T
+    d_means = d_theta[:, :4]
+    d_gamma = (_symmetric(d_theta[:, 4:]) - d_means[:, :, None] * means
+               - means[:, None] * d_means[:, None, :])
     gamma_se = np.sqrt(np.sum(d_gamma**2, axis=0))
-    return means, gamma, gamma_se, float(np.sqrt(np.sum(d_margin**2)))
+    margin_se = margin_error(lambda readouts: margin_of(_moments((readouts - offset) @ solver.T)[1]),
+                             values, errors)
+    return means, gamma, gamma_se, margin_se
 
 
 @dataclass(frozen=True)
@@ -471,18 +475,11 @@ class StokesPipelineResult:
     full_state_tomography: bool = True
 
     def to_dict(self) -> dict:
-        out = self.report.to_dict()
-        out.update(
-            {
-                "gamma_hat": self.gamma_hat.tolist(),
-                "means_hat": self.means_hat.tolist(),
-                "gamma_std_errors": self.gamma_se.tolist(),
+        return {**self.report.to_dict(), "gamma_hat": self.gamma_hat.tolist(),
+                "means_hat": self.means_hat.tolist(), "gamma_std_errors": self.gamma_se.tolist(),
                 "margin_std_error": self.margin_std_error,
                 "projection_epsilon": self.projection_epsilon,
-                "full_state_tomography": self.full_state_tomography,
-            }
-        )
-        return out
+                "full_state_tomography": self.full_state_tomography}
 
 
 def full_pipeline(state: GaussianState, config: StokesConfig | None = None,
@@ -491,8 +488,8 @@ def full_pipeline(state: GaussianState, config: StokesConfig | None = None,
 
     Analytic backend when ``n_shots`` is None, otherwise every readout is
     estimated from ``n_shots`` Wigner samples on its own deterministic
-    substream.  Per-entry and margin standard errors are propagated
-    linearly through the reconstruction.
+    substream.  Standard errors are propagated through the reconstruction
+    (:func:`reconstruct`).
     """
     require_two_modes(state)
     config = config or StokesConfig()
@@ -507,12 +504,6 @@ def full_pipeline(state: GaussianState, config: StokesConfig | None = None,
         [r.value.value for r in readouts], [r.value.std_error for r in readouts], config
     )
     report, eps = criterion_of_estimate(means, gamma)
-    return StokesPipelineResult(
-        gamma_hat=gamma,
-        means_hat=means,
-        gamma_se=gamma_se,
-        report=report,
-        margin_std_error=margin_se,
-        projection_epsilon=eps,
-        readouts=tuple(readouts),
-    )
+    return StokesPipelineResult(gamma_hat=gamma, means_hat=means, gamma_se=gamma_se,
+                                report=report, margin_std_error=margin_se,
+                                projection_epsilon=eps, readouts=tuple(readouts))

@@ -28,12 +28,11 @@ Three routes to det C:
   affine 4x4 solve returns all four entries of C and their errors.
 
 An ``assemble_verdict`` step turns the four determinant estimates into a
-separability report.  The margin's standard error is one norm over
-independent sources: the margin's first-order change per one standard
-error of each swap test and, for methods 1 and 3, of each entry of C.
+separability report.  The margin's standard error is
+:func:`gaussep.core.margin_error` over independent sources: the swap
+tests' determinants and, for methods 1 and 3, the four entries of C.
 Method 2's det C is solved from the swap tests, so it is no source of its
-own: it enters through the margin's total derivative over the four swap
-tests.
+own: it enters linearised through its gradient over the four swap tests.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ import numpy as np
 from .core import (
     GaussianState,
     Verdict,
-    _cofactors,
     log_negativity,
+    margin_error,
     partial_trace,
     purity,
     require_two_modes,
@@ -132,8 +131,7 @@ def swap_test(state: GaussianState, n_shots: int, seed: int, *key: int) -> SwapT
 @dataclass(frozen=True)
 class CMatrixEstimate:
     """Estimated cross block with per-entry errors.  The four entries are
-    independent sources of the margin's error: each moves det C by its
-    cofactor per standard error (:func:`run_two_copy`)."""
+    independent sources of the margin's error (:func:`run_two_copy`)."""
 
     c_hat: np.ndarray
     c_se: np.ndarray
@@ -508,32 +506,33 @@ def run_two_copy(state: GaussianState, method: str, n_shots: int, seed: int,
     """Full two-copy pipeline: three swap tests plus the chosen det C route.
 
     ``n_shots`` is the budget per estimation branch (equal split).  The
-    margin's standard error is the norm of its change per one standard
-    error of each independent source: the swap tests and, for methods 1
-    and 3, the four entries of C.
+    margin's error sources are the swap tests and, for methods 1 and 3,
+    the four entries of C (:func:`gaussep.core.margin_error`).
     """
     require_two_modes(state)
     require_valid(state)
     swaps = [swap_test(partial_trace(state, [0]), n_shots, seed, 0),
              swap_test(partial_trace(state, [1]), n_shots, seed, 1),
              swap_test(state, n_shots, seed, 2)]
-    slopes = np.array([1.0, 1.0, -4.0])  # d margin / d (det A, det B, det gamma)
-    c_sources = np.zeros(0)
     if method == "method2":
         swaps.append(swap_test(rotated_marginal(state), n_shots, seed, 3))
         solved = method2_det_c(*(swap.det_hat for swap in swaps), tol=1e-6,
                                input_se=[swap.det_se for swap in swaps])
-        det_c, shots = solved.det_c, 4 * n_shots
-        # det C is solved from the four swap tests: the margin's total derivative
-        slopes = np.append(slopes, 0.0) - 2.0 * solved.gradient
+        det_c, shots, c_hat, c_se = solved.det_c, 4 * n_shots, [], []
     elif method in ("method1", "method3"):
         c_est = (method1_c(state, n_shots, seed + 1) if method == "method1"
                  else method3_c(state, opa_params, n_shots, seed + 2))
         det_c, shots = c_est.det_c, 3 * n_shots + c_est.n_shots
-        c_sources = (-2.0 * _cofactors(c_est.c_hat) * c_est.c_se).ravel()
+        c_hat, c_se = c_est.c_hat.ravel(), c_est.c_se.ravel()
     else:
         raise ValueError(f"unknown method {method!r}")
-    sources = np.concatenate([slopes * [swap.det_se for swap in swaps], c_sources])
-    det_a, det_b, det_gamma = (swap.det_hat for swap in swaps[:3])
-    return assemble_verdict(det_a, det_b, det_c, det_gamma, float(np.linalg.norm(sources)),
-                            method, shots)
+    dets = [swap.det_hat for swap in swaps]
+
+    def margin_at(x):
+        # method 2 solves det C from the four swap tests: linearised through its gradient
+        c = (det_c + (x - dets) @ solved.gradient if method == "method2"
+             else np.linalg.det(x[:, 3:].reshape(-1, 2, 2)))
+        return simon_margin(x[:, 0], x[:, 1], c, x[:, 2])[1]
+
+    margin_se = margin_error(margin_at, [*dets, *c_hat], [*(swap.det_se for swap in swaps), *c_se])
+    return assemble_verdict(*dets[:2], det_c, dets[2], margin_se, method, shots)

@@ -279,6 +279,7 @@ class TestSimulate:
             ({"state": {"kind": "tmsv", "params": {"r": float("nan")}}}, "'r'"),
             ({"state": {"kind": "random", "params": {"seed": 1.7}}}, "'seed'"),
             ({"state": {"kind": "vacuum", "params": {"n_modes": 2.9}}}, "'n_modes'"),
+            ({"state": {"kind": "vacuum", "params": {"n_modes": -1}}}, "'n_modes'"),
             ({"state": {"kind": "thermal", "params": {"n_bars": [1.0, "2"]}}}, "'n_bars[1]'"),
             ({"state": {"kind": "thermal", "params": {"n_bars": []}}}, "'n_bars'"),
             ({"scheme": "stokes", "scheme_params": {"ref_c": {"d": True}}}, "'ref_c.d'"),
@@ -289,7 +290,7 @@ class TestSimulate:
              "'opa.g1'"),
         ],
         ids=["r-string", "r-bool", "r-nan", "seed-fraction", "n_modes-fraction",
-             "n_bars-entry", "n_bars-empty", "ref_c.d-bool", "phi1-inf", "phi2_values-entry",
+             "n_modes-negative", "n_bars-entry", "n_bars-empty", "ref_c.d-bool", "phi1-inf", "phi2_values-entry",
              "opa.g1-nan"],
     )
     def test_number_leaf_exit_three(self, tmp_path, capsys, overrides, named):

@@ -26,7 +26,7 @@ from gaussep import (
     validate,
     wigner_pdf,
 )
-from gaussep.core import margin_gradient, margin_of
+from gaussep.core import block_determinants, margin_error, margin_of
 from conftest import random_local_symplectic
 
 
@@ -260,18 +260,95 @@ class TestComposition:
         assert eps0 == 0.0
 
 
-def test_margin_gradient_matches_central_differences():
-    rng = np.random.default_rng(900)
-    for _ in range(10):
-        gamma = random_state(rng).cov + rng.normal(0.0, 0.1, size=(4, 4))
-        grad = margin_gradient(gamma)
+def _cofactors(m):
+    """Gradient of det m over its entries: det(m) inv(m)^T."""
+    return np.linalg.det(m) * np.linalg.inv(m).T
+
+
+def _margin_gradient(gamma):
+    """Partial derivatives of margin_of over the 16 entries of gamma."""
+    grad = -4.0 * _cofactors(gamma)
+    grad[:2, :2] += _cofactors(gamma[:2, :2])
+    grad[2:, 2:] += _cofactors(gamma[2:, 2:])
+    grad[:2, 2:] -= 2.0 * _cofactors(gamma[:2, 2:])
+    return grad
+
+
+def _product(points):
+    return points[:, 0] * points[:, 1]
+
+
+class TestMarginError:
+    def test_bilinear_margin_is_exact(self):
+        # Var(x y) = y^2 s_x^2 + x^2 s_y^2 + s_x^2 s_y^2 for independent
+        # normal x, y; the second-order term is exact for degree two
+        for x, y, sx, sy in [(1.3, -0.7, 0.2, 0.05), (0.0, 0.0, 1.0, 2.0), (4.0, 3.0, 0.01, 0.5)]:
+            expected = math.sqrt((y * sx) ** 2 + (x * sy) ** 2 + (sx * sy) ** 2)
+            assert margin_error(_product, [x, y], [sx, sy]) == pytest.approx(expected, rel=1e-12)
+
+    def test_first_order_part_is_gradient_times_errors(self):
+        # at errors of 1e-5 the second-order term is negligible, so the
+        # error of each entry alone is its analytic slope times its error
+        rng = np.random.default_rng(900)
         h = 1e-5
-        numeric = np.zeros((4, 4))
-        for i in range(4):
-            for j in range(4):
-                up, down = gamma.copy(), gamma.copy()
-                up[i, j] += h
-                down[i, j] -= h
-                numeric[i, j] = (margin_of(up) - margin_of(down)) / (2 * h)
-        scale = np.max(np.abs(grad))
-        np.testing.assert_allclose(grad, numeric, rtol=1e-7, atol=1e-7 * scale)
+        for _ in range(10):
+            gamma = random_state(rng).cov + rng.normal(0.0, 0.1, size=(4, 4))
+            grad = _margin_gradient(gamma)
+            per_entry = [margin_error(lambda p: margin_of(p.reshape(-1, 4, 4)), gamma.ravel(),
+                                      h * np.eye(16)[k]) / h for k in range(16)]
+            scale = np.max(np.abs(grad))
+            np.testing.assert_allclose(per_entry, np.abs(grad).ravel(), rtol=1e-7,
+                                       atol=1e-7 * scale)
+            se = rng.uniform(0.5, 2.0, size=16)
+            total = margin_error(lambda p: margin_of(p.reshape(-1, 4, 4)), gamma.ravel(), h * se)
+            assert total / h == pytest.approx(np.linalg.norm(grad.ravel() * se), rel=1e-7)
+
+    def test_slopes_exact_for_a_cubic(self):
+        # a central difference over +-1 SE alone would add s^3 to the slope
+        # of x^3; the +-2 SE points cancel it
+        for x, s in [(1.0, 0.5), (-0.7, 0.3), (2.0, 1.5)]:
+            expected = math.hypot(3 * x * x * s, 6 * x * s * s / math.sqrt(2))
+            got = margin_error(lambda p: p[:, 0] ** 3, [x], [s])
+            assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_never_below_first_order(self):
+        # the slopes are exact, so the second-order term can only widen
+        rng = np.random.default_rng(901)
+        for _ in range(10):
+            gamma = random_state(rng).cov
+            se = rng.uniform(0.01, 0.3, size=16)
+            first = np.linalg.norm(_margin_gradient(gamma).ravel() * se)
+            total = margin_error(lambda p: margin_of(p.reshape(-1, 4, 4)), gamma.ravel(), se)
+            assert total >= first * (1.0 - 1e-12)
+
+    def test_zero_and_nan_errors_dropped(self):
+        stacks = []
+
+        def margin(points):
+            stacks.append(points)
+            return _product(points) + points[:, 2] * points[:, 3]
+
+        x = [1.3, -0.7, 2.0, 5.0]
+        got = margin_error(margin, x, [0.2, 0.05, 0.0, np.nan])
+        assert got == pytest.approx(margin_error(_product, x[:2], [0.2, 0.05]), rel=1e-12)
+        # one call on x, x +- s_k e_k, x +- 2 s_k e_k and x +- (s_k e_k + s_l e_l)
+        # of the two kept sources
+        (points,) = stacks
+        assert points.shape == (11, 4)
+        assert np.all(points[:, 2:] == x[2:])
+
+    def test_no_error_never_calls_margin(self):
+        def margin(points):
+            raise AssertionError("margin_of called without a source")
+
+        assert margin_error(margin, [1.0, 2.0], [0.0, 0.0]) == 0.0
+        assert margin_error(margin, [1.0, 2.0], [np.nan, 0.0]) == 0.0
+
+
+def test_block_determinants_of_a_stack_match_each_matrix():
+    rng = np.random.default_rng(902)
+    stack = rng.normal(size=(5, 4, 4))
+    dets = block_determinants(stack)
+    for i, gamma in enumerate(stack):
+        assert tuple(d[i] for d in dets) == block_determinants(gamma)
+        assert margin_of(stack)[i] == margin_of(gamma)

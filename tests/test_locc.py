@@ -14,7 +14,7 @@ from gaussep import (
     verdict_from_estimate,
 )
 from gaussep.core import margin_of
-from gaussep.locc import margin_std_error
+from gaussep.locc import CovarianceEstimate
 
 
 def test_plan_accounting():
@@ -101,7 +101,7 @@ def test_estimator_error_shrinks_with_n():
     assert -0.6 <= slope <= -0.4
 
 
-def test_margin_std_error_perturbs_upper_entries_symmetrically():
+def test_margin_error_perturbs_upper_entries_symmetrically():
     rng = np.random.default_rng(910)
     gamma = two_mode_squeezed_vacuum(0.4).cov + rng.normal(0.0, 0.05, size=(4, 4))
     gamma = (gamma + gamma.T) / 2
@@ -120,7 +120,11 @@ def test_margin_std_error_perturbs_upper_entries_symmetrically():
             down[i, j] -= h
             down[j, i] = down[i, j]
             var += ((margin_of(up) - margin_of(down)) / (2 * h) * se[i, j]) ** 2
-    assert margin_std_error(gamma, se) == pytest.approx(np.sqrt(var), rel=1e-7)
+    # at errors of 1e-4 se the second-order term is negligible
+    estimate = CovarianceEstimate(gamma_hat=gamma, means_hat=np.zeros(4), gamma_se=1e-4 * se,
+                                  means_se=np.zeros(4), plan=FiveGroupPlan(shots_per_group=100))
+    margin_se = verdict_from_estimate(estimate).margin_std_error
+    assert 1e4 * margin_se == pytest.approx(np.sqrt(var), rel=1e-7)
 
 
 class TestVerdict:

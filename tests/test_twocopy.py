@@ -318,7 +318,9 @@ class TestAssembleVerdict:
 
     def test_margin_error_propagation(self):
         # independent errors of det A, det B, det C and det gamma enter the
-        # margin with slopes 1, 1, -2 and -4
+        # margin with slopes 1, 1, -2 and -4; det C = c00 c11 - c01 c10 is
+        # bilinear in independent entries, so its variance to second order
+        # is exact: Var(x y) = y^2 s_x^2 + x^2 s_y^2 + s_x^2 s_y^2
         state = two_mode_squeezed_vacuum(0.5)
         result = run_two_copy(state, "method1", 20000, seed=16)
         c_est = method1_c(state, 20000, 17)
@@ -326,10 +328,26 @@ class TestAssembleVerdict:
         swaps = [swap_test(partial_trace(state, [0]), 20000, 16, 0),
                  swap_test(partial_trace(state, [1]), 20000, 16, 1), swap_test(state, 20000, 16, 2)]
         c, se = c_est.c_hat, c_est.c_se
-        det_c_se = math.hypot(c[1, 1] * se[0, 0], c[0, 0] * se[1, 1],
-                              c[1, 0] * se[0, 1], c[0, 1] * se[1, 0])
-        expected = math.hypot(swaps[0].det_se, swaps[1].det_se, 2 * det_c_se, 4 * swaps[2].det_se)
+        det_c_var = sum((c[j, l] * se[i, k]) ** 2 + (c[i, k] * se[j, l]) ** 2
+                        + (se[i, k] * se[j, l]) ** 2 for (i, k), (j, l) in
+                        [((0, 0), (1, 1)), ((0, 1), (1, 0))])
+        expected = math.hypot(swaps[0].det_se, swaps[1].det_se, 2 * math.sqrt(det_c_var),
+                              4 * swaps[2].det_se)
         assert result.margin_std_error == pytest.approx(expected, rel=1e-12)
+
+    def test_method2_margin_error_is_linear_in_swap_tests(self):
+        # method 2's det C enters linearised through its gradient over the
+        # four swap tests, so the margin error is first order only
+        state = simon_form(1.2, 0.9, 0.5, -0.3)
+        result = run_two_copy(state, "method2", 20000, seed=18)
+        swaps = [swap_test(partial_trace(state, [0]), 20000, 18, 0),
+                 swap_test(partial_trace(state, [1]), 20000, 18, 1), swap_test(state, 20000, 18, 2),
+                 swap_test(rotated_marginal(state), 20000, 18, 3)]
+        se = np.array([swap.det_se for swap in swaps])
+        solved = method2_det_c(*(swap.det_hat for swap in swaps), tol=1e-6, input_se=se)
+        assert result.det_c == solved.det_c
+        slopes = np.array([1.0, 1.0, -4.0, 0.0]) - 2.0 * solved.gradient
+        assert result.margin_std_error == pytest.approx(np.linalg.norm(slopes * se), rel=1e-12)
 
     def test_margin_error_passed_through(self):
         result = assemble_verdict(0.25, 0.25, 0.0, 1.0 / 16.0, margin_std_error=0.03)
