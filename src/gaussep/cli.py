@@ -155,7 +155,7 @@ def _compared(state: GaussianState, scheme: str, shots: int, seed: int,
         method = scheme.replace("twocopy_m", "method")
         estimate = run_two_copy(state, method, shots, seed, opa_params=opa).to_dict()
     else:
-        estimate = {**simon_criterion(state).to_dict(), "margin_std_error": 0.0}
+        estimate = {**truth.to_dict(), "margin_std_error": 0.0}
         gamma_hat = state.cov
     record = {
         "ground_truth": truth.to_dict(),

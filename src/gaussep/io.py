@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .core import GaussianState, tensor_product
+from .core import GaussianState, require_valid, tensor_product
 from .exceptions import GaussepError, InvalidStateError
 from .states import (
     ReferenceStateParams,
@@ -109,9 +109,10 @@ def _check_params(kind: str, params: dict, allowed: set) -> None:
 
 
 def state_from_spec(spec: dict) -> GaussianState:
-    """Build a state from a spec dictionary; unknown keys are rejected.  A
-    constructor's error is re-raised as its own type, prefixed with the
-    kind and the params given."""
+    """Build a physical state from a spec dictionary; unknown keys are
+    rejected.  A constructor's error, or the built state's violation of the
+    uncertainty bound, is re-raised as its own type, prefixed with the kind
+    and the params given."""
     if not isinstance(spec, dict) or set(spec) - {"kind", "params"}:
         raise InvalidStateError("state spec must be {'kind': ..., 'params': {...}}")
     kind = spec.get("kind")
@@ -154,6 +155,8 @@ def state_from_spec(spec: dict) -> GaussianState:
                                   max_squeeze=number("max_squeeze", 1.0),
                                   max_thermal=number("max_thermal", 2.0))
     try:
-        return build()
+        state = build()
+        require_valid(state)
     except GaussepError as exc:
         raise type(exc)(f"state kind {kind!r} with params {params}: {exc}") from exc
+    return state

@@ -10,11 +10,15 @@ likewise for the other pairs.  The groups are
     D: q1 (x) p2          -> <q1 p2>
     E: p1 (x) q2          -> <p1 q2>
 
-Two shot layouts are implemented.  Plan variant ``scheme_i`` measures each
-group on its own N copies.  Variant ``scheme_ii`` spends 4N copies on a
-uniformly random quadrature pair per shot (2 classical bits per shot to
-reconcile the choices, plus 1 group-label bit) and N copies on the
-symmetrized group.
+:data:`LAYOUTS` holds the shot layouts as data, each a tuple of shot
+groups with the keys of their substreams under the call's seed:
+
+    scheme_i   A to E, N shots each; rows on keys 0 to 4
+    scheme_ii  A, B, D, E as uniformly random quadrature pairs on 4N shots,
+               q/p choices on key 100 and rows on key 0 (2 classical bits
+               per shot plus 1 group-label bit); C on N shots, rows on key 1
+    method1    the random pairs alone on N shots (two-copy method 1, under
+               run_two_copy's seed + 1): choices on key 1, rows on key 0
 
 Group C outcomes are simulated as per-shot Wigner products q*p, which is
 unbiased for <{q, p}>/2 although it is not the true outcome law of that
@@ -45,10 +49,23 @@ from .core import (
 from .exceptions import InsufficientShotsError, InvalidStateError
 from .sampling import _draw, _empty, _in_order, covariance_and_se, derive_rng, mean_and_se
 
-GROUP_LABELS = ("A", "B", "C", "D", "E")
+_COLUMNS = ("q1", "p1", "q2", "p2")
 
-# quadrature column pairs measured by groups A, B, D, E (mode-1 col, mode-2 col)
-_PAIR_COLUMNS = {"A": (0, 2), "B": (1, 3), "D": (0, 3), "E": (1, 2)}
+# per shot group: (rows key, q/p choices key or None, shot multiple, entries read)
+LAYOUTS = {
+    "scheme_i": (
+        (0, None, 1, ((0, 2), (0, 0), (2, 2))),  # A: q1 (x) q2
+        (1, None, 1, ((1, 3), (1, 1), (3, 3))),  # B: p1 (x) p2
+        (2, None, 1, ((0, 1), (2, 3))),          # C: {q1,p1}/2 (x) {q2,p2}/2
+        (3, None, 1, ((0, 3),)),                 # D: q1 (x) p2
+        (4, None, 1, ((1, 2),)),                 # E: p1 (x) q2
+    ),
+    "scheme_ii": (
+        (0, 100, 4, ((0, 2), (0, 3), (1, 2), (1, 3), (0, 0), (1, 1), (2, 2), (3, 3))),
+        (1, None, 1, ((0, 1), (2, 3))),          # C
+    ),
+    "method1": ((0, 1, 1, ((0, 2), (0, 3), (1, 2), (1, 3))),),
+}
 
 MIN_SHOTS = 100
 
@@ -103,42 +120,6 @@ class CovarianceEstimate:
         }
 
 
-def random_pairs(state: GaussianState, n_shots: int, seed: int, choice_key: int):
-    """Random local quadrature pairs on ``n_shots`` copies: the Wigner rows
-    drawn on ``(seed, 0)``; per column, the shots whose party measured it,
-    from each party's q or p choices drawn on ``(seed, choice_key)``; and
-    per cross entry (i, j) of gamma the covariance from the shots that
-    measured both i and j.  The two substreams are drawn concurrently."""
-    return _in_order(_pair_jobs(state, n_shots, seed, choice_key), n_shots)[1]
-
-
-def _pair_jobs(state, n_shots, seed, choice_key):
-    """The jobs of :func:`random_pairs`, for :func:`_in_order`: the choices,
-    then the rows, whose finishing step returns the result."""
-    sides, picks = {}, {}
-
-    def split(choices):
-        alice_q, bob_q = choices
-        sides.update({0: alice_q, 1: ~alice_q, 2: bob_q, 3: ~bob_q})
-        # gather by index: faster than a boolean mask, with the same values
-        picks.update({(i, j): np.flatnonzero(sides[i] & sides[j]) for i in (0, 1) for j in (2, 3)})
-
-    def pairs_of(rows):
-        if min(p.size for p in picks.values()) < MIN_SHOTS:
-            raise InsufficientShotsError(
-                f"a random quadrature pair received fewer than {MIN_SHOTS} of {n_shots} shots"
-            )
-        # gather each subset's columns directly rather than copying its whole rows
-        pairs = {(i, j): covariance_and_se(rows[p, i], rows[p, j]) for (i, j), p in picks.items()}
-        return rows, sides, pairs
-
-    return [
-        (split, _choose, derive_rng(seed, choice_key), _empty(n_shots),
-         np.empty((2, n_shots), dtype=bool)),
-        (pairs_of, _draw, state, derive_rng(seed, 0), _empty(n_shots, state.means.size)),
-    ]
-
-
 def _choose(rng, uniform, choices):
     """``choices``, each party's row filled with ``uniform`` draws < 1/2."""
     for party in choices:
@@ -147,67 +128,79 @@ def _choose(rng, uniform, choices):
     return choices
 
 
-def _symmetrized(rows):
-    """Group C: the two single-mode symmetrized terms."""
-    return {(0, 1): covariance_and_se(rows[:, 0], rows[:, 1]),
-            (2, 3): covariance_and_se(rows[:, 2], rows[:, 3])}
+def _estimate(reads, choices, rows):
+    """Entry (i, j) of gamma, for each pair of ``reads``, from a shot
+    group's ``rows``: the covariance of columns i and j over the shots that
+    measured both (every shot when ``choices`` is None), with the column's
+    mean when i == j.  Each subset's indices are taken when it is read."""
+    if choices is not None:
+        # the shots that measured q1, p1, q2 and p2
+        sides = (choices[0], ~choices[0], choices[1], ~choices[1])
+    found = {}
+    for i, j in reads:
+        if choices is None:
+            x, y = rows[:, i], rows[:, j]
+        else:
+            # gather by index: faster than a boolean mask, with the same values
+            shots = np.flatnonzero(sides[i] if i == j else sides[i] & sides[j])
+            if shots.size < MIN_SHOTS:
+                raise InsufficientShotsError(
+                    f"the random quadrature pair ({_COLUMNS[i]}, {_COLUMNS[j]}) received "
+                    f"{shots.size} of {rows.shape[0]} shots, fewer than {MIN_SHOTS}; "
+                    "increase shots"
+                )
+            # gather each subset's columns directly rather than copying its whole rows
+            x = rows[shots, i]
+            y = x if i == j else rows[shots, j]
+            del shots  # as large as a column: freed before the statistics, for peak memory
+        found[i, j] = covariance_and_se(x, y), mean_and_se(x) if i == j else None
+    return found
 
 
-def _group(label, rows):
-    """Group ``label``'s entries and means from its rows."""
-    if label == "C":
-        return _symmetrized(rows), {}
-    i, j = _PAIR_COLUMNS[label]
-    entries, means = {(i, j): covariance_and_se(rows[:, i], rows[:, j])}, {}
-    if label in ("A", "B"):
-        # diagonal entries and the means come from the same records
-        for col in (i, j):
-            entries[col, col] = covariance_and_se(rows[:, col], rows[:, col])
-            means[col] = mean_and_se(rows[:, col])
-    return entries, means
+def _drawn(state: GaussianState, layout: str, n_shots: int, seed: int) -> dict:
+    """The one runner of the local layouts: every shot group of
+    ``LAYOUTS[layout]`` at ``n_shots`` per plan count, drawn as jobs of
+    :func:`_in_order` (choices before rows), and the (covariance, mean or
+    None) estimates that :func:`_estimate` reads from them, by gamma entry."""
+
+    def jobs():
+        # lazily, so that a group's arrays live only from its draw to its statistics
+        for rows_key, choice_key, multiple, reads in LAYOUTS[layout]:
+            shots, choices = multiple * n_shots, None
+            if choice_key is not None:
+                choices = np.empty((2, shots), dtype=bool)
+                # the rows job reads the filled choices; this job adds no entry
+                yield ((lambda filled: {}), _choose, derive_rng(seed, choice_key),
+                       _empty(shots), choices)
+            yield (functools.partial(_estimate, reads, choices), _draw, state,
+                   derive_rng(seed, rows_key), _empty(shots, state.means.size))
+
+    estimates = {}
+    for found in _in_order(jobs(), n_shots):
+        estimates.update(found)
+    return estimates
 
 
-def _scheme_i(state, plan, seed):
-    n = plan.shots_per_group
-    # each group's rows are made when its draw is started and freed once
-    # its statistics are taken, which bounds peak memory
-    jobs = ((functools.partial(_group, label), _draw, state, derive_rng(seed, gi),
-             _empty(n, state.means.size)) for gi, label in enumerate(GROUP_LABELS))
-    entries, means = {}, {}
-    for group_entries, group_means in _in_order(jobs, n):
-        entries.update(group_entries)
-        means.update(group_means)
-    return entries, means
-
-
-def _scheme_ii(state, plan, seed):
-    n = plan.shots_per_group
-    symmetrized = (_symmetrized, _draw, state, derive_rng(seed, 1), _empty(n, state.means.size))
-    _, (rows, sides, entries), sym = _in_order([*_pair_jobs(state, 4 * n, seed, 100),
-                                                symmetrized], n)
-    means = {}
-    # each party sees its own quadrature on every shot where it chose it
-    for col, mask in sides.items():
-        v = rows[np.flatnonzero(mask), col]
-        entries[col, col] = covariance_and_se(v, v)
-        means[col] = mean_and_se(v)
-    entries.update(sym)
-    return entries, means
+def _assembled(estimates: dict) -> tuple[np.ndarray, np.ndarray]:
+    """gamma and its standard errors from :func:`_drawn`'s estimates,
+    symmetric; an entry no group reads is nan."""
+    gamma, gamma_se = np.full((4, 4), np.nan), np.full((4, 4), np.nan)
+    for (i, j), (cov, _) in estimates.items():
+        gamma[i, j] = gamma[j, i] = cov.value
+        gamma_se[i, j] = gamma_se[j, i] = cov.std_error
+    return gamma, gamma_se
 
 
 def run_scheme(state: GaussianState, plan: FiveGroupPlan, seed: int) -> CovarianceEstimate:
     """Simulate the chosen plan and reconstruct means and covariance."""
     require_two_modes(state)
     require_valid(state)
-    runner = _scheme_i if plan.variant == "scheme_i" else _scheme_ii
-    entries, means = runner(state, plan, seed)
-    gamma, gamma_se = np.empty((4, 4)), np.empty((4, 4))
-    for (i, j), est in entries.items():
-        gamma[i, j] = gamma[j, i] = est.value
-        gamma_se[i, j] = gamma_se[j, i] = est.std_error
+    estimates = _drawn(state, plan.variant, plan.shots_per_group, seed)
+    gamma, gamma_se = _assembled(estimates)
+    means = [estimates[c, c][1] for c in range(4)]
     return CovarianceEstimate(
-        gamma_hat=gamma, means_hat=np.array([means[c].value for c in range(4)]),
-        gamma_se=gamma_se, means_se=np.array([means[c].std_error for c in range(4)]), plan=plan,
+        gamma_hat=gamma, means_hat=np.array([m.value for m in means]),
+        gamma_se=gamma_se, means_se=np.array([m.std_error for m in means]), plan=plan,
     )
 
 

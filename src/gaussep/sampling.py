@@ -15,12 +15,12 @@ identical results regardless of scheduling or worker count.
 A substream is drawn in blocks of ``BLOCK_ROWS`` rows, each the block's
 standard normals times the covariance root plus the means; the blocks are
 bit for bit the rows of one whole draw, and no consumer holds all the
-normals at once.  Every sampled scheme call (the Stokes and method-3
-readouts of :func:`gaussep.moments.measure`, the five groups of
-``locc_i``, and the rows, q/p choices and symmetrized rows of ``locc_ii``
-and method 1) runs its substreams as jobs of :func:`_in_order`:
-concurrently on the CPUs this process may use, with the same bytes as one
-after another.
+normals at once.  Every sampled draw is a job of :func:`_in_order`, made
+by one of two runners: :func:`gaussep.moments.measure` (the Stokes and
+method-3 readouts) and ``gaussep.locc._drawn`` (each local shot group of
+``locc_i``, ``locc_ii`` and method 1: its q/p choices, then its rows).
+The jobs run concurrently on the CPUs this process may use, with the same
+bytes as one after another.
 """
 
 from __future__ import annotations

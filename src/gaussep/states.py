@@ -150,16 +150,21 @@ def two_mode_squeezed_vacuum(r: float) -> GaussianState:
     return apply_transform(vacuum(2), two_mode_squeezer(r))
 
 
+def _simon_matrix(lam: float, mu: float, s: float, t: float) -> np.ndarray:
+    """The Simon normal form matrix: A = lam I, B = mu I, C = diag(s, t)."""
+    cov = np.diag([lam, lam, mu, mu]).astype(float)
+    cov[0, 2] = cov[2, 0] = s
+    cov[1, 3] = cov[3, 1] = t
+    return cov
+
+
 def simon_form(lam: float, mu: float, s: float, t: float) -> GaussianState:
     """Covariance matrix in Simon normal form.
 
     A = lam I, B = mu I, C = diag(s, t).  Raises if the assembled matrix
     violates the uncertainty bound, reporting the violated eigenvalue.
     """
-    cov = np.diag([lam, lam, mu, mu]).astype(float)
-    cov[0, 2] = cov[2, 0] = s
-    cov[1, 3] = cov[3, 1] = t
-    state = GaussianState(means=np.zeros(4), cov=cov)
+    state = GaussianState(means=np.zeros(4), cov=_simon_matrix(lam, mu, s, t))
     worst = physicality_eigenvalues(state)[0]
     if worst < -1e-10:
         raise InvalidCovarianceError(

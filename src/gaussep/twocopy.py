@@ -10,9 +10,10 @@ which is the exact statistics of the +-1 spectrum.
 
 Three routes to det C:
 
-* method 1: ``locc_ii``'s random-pair estimator (:func:`gaussep.locc.random_pairs`)
-  on N shots; per shot each party measures a uniformly random quadrature
-  of its mode, and matching pairs estimate the four cross covariances.
+* method 1: ``locc_ii``'s random local quadrature pairs on N shots (layout
+  ``method1`` of :data:`gaussep.locc.LAYOUTS`): per shot each party measures
+  a uniformly random quadrature of its mode, and the shots that measured
+  both columns of a cross entry estimate its covariance.
 * method 2: assuming Simon normal form (A = lam I, B = mu I,
   C = diag(s, t)), det(cov) = (lam mu - s^2)(lam mu - t^2) and the mode-1
   marginal after the two-mode rotation by pi/4 has determinant
@@ -66,10 +67,10 @@ from .exceptions import (
     InvalidStateError,
     SimonTypeMismatchError,
 )
-from .locc import random_pairs
+from .locc import _assembled, _drawn
 from .moments import cross_intensity, cross_phase, measure, product
 from .sampling import derive_rng
-from .states import ReferenceStateParams
+from .states import ReferenceStateParams, _simon_matrix
 from .stokes import SingleModeNetwork, network_design, sample_stokes
 from .transforms import (SymplecticTransform, _propagated, apply_transform, embed, opa,
                          rotation_theta)
@@ -148,10 +149,9 @@ def method1_c(state: GaussianState, n_shots: int, seed: int) -> CMatrixEstimate:
     """C from locc_ii's random local quadrature pairs on ``n_shots`` copies."""
     require_two_modes(state)
     require_valid(state)
-    pairs = random_pairs(state, n_shots, seed, 1)[2]
-    c = np.array([[pairs[i, j].value for j in (2, 3)] for i in (0, 1)])
-    se = np.array([[pairs[i, j].std_error for j in (2, 3)] for i in (0, 1)])
-    return CMatrixEstimate(c_hat=c, c_se=se, n_shots=n_shots, method="method1")
+    gamma, gamma_se = _assembled(_drawn(state, "method1", n_shots, seed))
+    return CMatrixEstimate(c_hat=gamma[:2, 2:].copy(), c_se=gamma_se[:2, 2:].copy(),
+                           n_shots=n_shots, method="method1")
 
 
 @dataclass(frozen=True)
@@ -254,9 +254,7 @@ def method2_det_c(det_a: float, det_b: float, det_gamma: float,
             continue
         half = math.sqrt(max(disc_st, 0.0)) / 2.0
         s, t = e1 / 2.0 + half, e1 / 2.0 - half
-        cov = np.diag([lam, lam, mu, mu]).astype(float)
-        cov[0, 2] = cov[2, 0] = s
-        cov[1, 3] = cov[3, 1] = t
+        cov = _simon_matrix(lam, mu, s, t)
         try:
             candidate = GaussianState(means=np.zeros(4), cov=cov)
         except InvalidStateError:

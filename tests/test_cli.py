@@ -240,6 +240,15 @@ class TestSimulate:
         assert "at least 2 shots" in capsys.readouterr().err
         assert not (out / "record.json").exists()
 
+    def test_random_pairs_too_few_exit_four(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, scheme="locc_ii", shots=100, seed=0)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--output-dir", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "scheme failed: the random quadrature pair" in err
+        assert "of 400 shots, fewer than 100; increase shots" in err
+        assert not (out / "record.json").exists()
+
     @pytest.mark.parametrize(
         "overrides, named",
         [
@@ -258,10 +267,13 @@ class TestSimulate:
             ({"state": {"kind": "thermal", "params": {"n_bar": -1}}}, "'n_bar'"),
             ({"state": {"kind": "simon", "params": {"lambda": 0.5, "mu": 0.5, "s": 1, "t": 1}}},
              "'s'"),
+            # a built state that violates the uncertainty bound, checked where it enters
+            ({"state": {"kind": "random", "params": {"max_squeeze": 40}}},
+             "state kind 'random' with params {'max_squeeze': 40}: covariance matrix violates"),
         ],
         ids=["shots", "shots-huge", "shots-too-many-rows", "seed", "r", "phi1", "phi2_values",
              "ref_c.d", "opa.g1", "opa-list", "r-not-symplectic", "n_bar-negative",
-             "simon-unphysical"],
+             "simon-unphysical", "random-unphysical"],
     )
     def test_malformed_value_exit_three(self, tmp_path, capsys, overrides, named):
         cfg = {"state": {"kind": "tmsv", "params": {"r": 0.5}}, "scheme": "locc_i",

@@ -31,6 +31,15 @@ def test_too_few_shots_rejected():
         FiveGroupPlan(shots_per_group=10)
 
 
+def test_random_pairs_at_plan_minimum_rejected():
+    # at 100 shots per group each random pair expects 100 of the 400 shots,
+    # so one of the four nearly always falls short
+    with pytest.raises(InsufficientShotsError,
+                       match=r"\(\w\d, \w\d\) received \d+ of 400 shots, fewer than 100; "
+                             "increase shots"):
+        run_scheme(two_mode_squeezed_vacuum(0.5), FiveGroupPlan(100, "scheme_ii"), seed=0)
+
+
 def test_every_entry_measured():
     est = run_scheme(vacuum(2), FiveGroupPlan(shots_per_group=200), seed=0)
     assert not np.any(np.isnan(est.gamma_hat))
