@@ -43,23 +43,26 @@ from .exceptions import (
     SimonTypeMismatchError,
 )
 from .io import (
-    load_state, number_field, number_list, reference_params_from_dict, state_from_spec,
+    REFERENCE_PARAMS, checked, checked_spec, load_state, mode_count, spec_label, state_from_spec,
 )
 from .locc import FiveGroupPlan, run_scheme, verdict_from_estimate
 from .sampling import derive_rng
-from .states import random_state
+from .states import ReferenceStateParams, random_state
 from .stokes import StokesConfig, full_pipeline
 from .twocopy import OpaParams, run_two_copy
 
-SCHEMES = (
-    "locc_i",
-    "locc_ii",
-    "stokes",
-    "twocopy_m1",
-    "twocopy_m2",
-    "twocopy_m3",
-    "analytic",
-)
+# the scheme_params table of each scheme, in the format of gaussep.io
+SCHEME_PARAMS = {
+    "locc_i": {},
+    "locc_ii": {},
+    "stokes": {"ref_single": REFERENCE_PARAMS, "ref_c": REFERENCE_PARAMS,
+               "ref_d": REFERENCE_PARAMS, "phi1": float, "phi2_values": [float]},
+    "twocopy_m1": {},
+    "twocopy_m2": {},
+    "twocopy_m3": {"opa": {"g1": float, "phi1": float, "g2": float, "phi2": float}},
+    "analytic": {},
+}
+SCHEMES = tuple(SCHEME_PARAMS)
 
 _CONFIG_KEYS = {"state", "scheme", "shots", "seed", "scheme_params", "output_dir"}
 # the most rows an 8-column float64 draw can have: numpy sizes arrays in intp bytes
@@ -71,7 +74,15 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _scheme_params(config: dict) -> dict:
+    scheme = config["scheme"]
+    return checked(SCHEME_PARAMS[scheme], config.get("scheme_params") or {}, "scheme_params",
+                   f"scheme {scheme!r}", "")
+
+
 def validate_config(config: dict) -> dict:
+    """``config`` as given, once every key and leaf of it holds; nothing
+    is built."""
     if not isinstance(config, dict):
         raise InvalidStateError("config must be a JSON object")
     unknown = set(config) - _CONFIG_KEYS
@@ -89,45 +100,12 @@ def validate_config(config: dict) -> dict:
         raise InvalidStateError(f"shots must be a positive integer of at most {_MAX_SHOTS}")
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise InvalidStateError("seed must be an integer")
-    params = config.get("scheme_params", {}) or {}
-    if not isinstance(params, dict):
-        raise InvalidStateError("scheme_params must be an object")
-    scheme = config["scheme"]
-    allowed = set()
-    if scheme == "stokes":
-        allowed = {"ref_single", "ref_c", "ref_d", "phi1", "phi2_values"}
-    elif scheme == "twocopy_m3":
-        allowed = {"opa"}
-    unknown = set(params) - allowed
-    if unknown:
-        raise InvalidStateError(
-            f"unknown scheme_params {sorted(unknown)} for scheme {scheme!r}"
-        )
+    _scheme_params(config)
+    modes = mode_count(*checked_spec(config["state"]))
+    if modes != 2:
+        raise InvalidStateError(f"{spec_label(config['state'])}: schemes need a two-mode "
+                                f"state, got {modes} modes")
     return config
-
-
-def _stokes_config(params: dict) -> StokesConfig:
-    kwargs = {}
-    for key in ("ref_single", "ref_c", "ref_d"):
-        if key in params:
-            kwargs[key] = reference_params_from_dict(params[key], key)
-    if "phi1" in params:
-        kwargs["phi1"] = number_field("phi1", params["phi1"])
-    if "phi2_values" in params:
-        kwargs["phi2_values"] = tuple(number_list("phi2_values", params["phi2_values"]))
-    return StokesConfig(**kwargs)
-
-
-def _opa_params(params: dict) -> OpaParams:
-    if "opa" not in params:
-        return OpaParams()
-    spec = params["opa"]
-    if not isinstance(spec, dict):
-        raise InvalidStateError("opa must be an object")
-    unknown = set(spec) - {"g1", "phi1", "g2", "phi2"}
-    if unknown:
-        raise InvalidStateError(f"unknown opa parameters {sorted(unknown)}")
-    return OpaParams(**{key: number_field(f"opa.{key}", v) for key, v in spec.items()})
 
 
 def _compared(state: GaussianState, scheme: str, shots: int, seed: int,
@@ -148,10 +126,12 @@ def _compared(state: GaussianState, scheme: str, shots: int, seed: int,
         estimate = {**est.to_dict(), **verdict_from_estimate(est).to_dict()}
         gamma_hat = est.gamma_hat
     elif scheme == "stokes":
-        result = full_pipeline(state, _stokes_config(params), n_shots=shots, seed=seed)
+        config = StokesConfig(**{key: ReferenceStateParams(**v) if isinstance(v, dict) else v
+                                 for key, v in params.items()})
+        result = full_pipeline(state, config, n_shots=shots, seed=seed)
         estimate, gamma_hat = result.to_dict(), result.gamma_hat
     elif scheme.startswith("twocopy"):
-        opa = _opa_params(params) if scheme == "twocopy_m3" else None
+        opa = OpaParams(**params.get("opa", {})) if scheme == "twocopy_m3" else None
         method = scheme.replace("twocopy_m", "method")
         estimate = run_two_copy(state, method, shots, seed, opa_params=opa).to_dict()
     else:
@@ -176,13 +156,9 @@ def run_experiment(config: dict) -> dict:
     """Execute one scheme and compare against the exact criterion."""
     config = validate_config(config)
     state = state_from_spec(config["state"])
-    if state.n_modes != 2:
-        raise InvalidStateError(
-            f"schemes need a two-mode state, got {state.n_modes} modes"
-        )
     return {"tool_version": __version__, "config": config,
             **_compared(state, config["scheme"], config["shots"], config["seed"],
-                        config.get("scheme_params", {}) or {})}
+                        _scheme_params(config))}
 
 
 def _counts_as_separable(verdict: str) -> bool:
@@ -287,15 +263,12 @@ def _sweep_points(config: dict, axis: str, values: str) -> list[tuple[float, dic
         point = json.loads(json.dumps(config))
         if axis == "shots":
             point["shots"] = int(value)
-        else:
-            state = point.get("state")
-            if not isinstance(state, dict) or state.get("kind") != "tmsv":
+        state = validate_config(point)["state"]
+        if axis == "squeeze":
+            if state["kind"] != "tmsv":
                 raise InvalidStateError("state must be a tmsv state for a squeeze sweep")
-            params = state.setdefault("params", {})
-            if not isinstance(params, dict):
-                raise InvalidStateError("state.params must be an object")
-            params["r"] = value
-        points.append((value, validate_config(point)))
+            state["params"] = {**(state.get("params") or {}), "r": value}
+        points.append((value, point))
     return points
 
 

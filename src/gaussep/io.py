@@ -1,11 +1,16 @@
-"""File formats: state files, state specs and reference parameters.
+"""File formats: state files, state specs and the tables that check them.
 
 State files are JSON objects {"n_modes": n, "means": [...], "cov": [[...]]}
-with the covariance matrix stored row-major in full (not triangular).
+with the covariance matrix stored row-major in full (not triangular).  A
+state spec {"kind": ..., "params": {...}} selects a constructor by kind.
 
-A state spec selects a constructor:
-    {"kind": "vacuum" | "thermal" | "dst" | "tmsv" | "simon" | "random",
-     "params": {...}}
+Each accepted params object is a table: key to ``float``, ``int``, a
+one-entry list or a nested table.  ``STATE_PARAMS`` holds one per state
+kind; the ``dst`` kind and the Stokes references of
+``gaussep.cli.SCHEME_PARAMS`` share ``REFERENCE_PARAMS``.  The one walker,
+:func:`checked`, rejects non-objects and unknown keys and passes every
+leaf through :func:`number_field`, named below the walked object
+(``'r'``, ``'ref_c.d'``, ``'n_bars[1]'``).
 """
 
 from __future__ import annotations
@@ -28,7 +33,16 @@ from .states import (
     vacuum,
 )
 
-STATE_KINDS = ("vacuum", "thermal", "dst", "tmsv", "simon", "random")
+REFERENCE_PARAMS = {"n_bar": float, "d": float, "beta": float, "theta": float, "gamma": float}
+STATE_PARAMS = {
+    "vacuum": {"n_modes": int},
+    "thermal": {"n_bar": float, "n_bars": [float]},
+    "dst": REFERENCE_PARAMS,
+    "tmsv": {"r": float},
+    "simon": {"lambda": float, "mu": float, "s": float, "t": float},
+    "random": {"seed": int, "max_squeeze": float, "max_thermal": float},
+}
+STATE_KINDS = tuple(STATE_PARAMS)
 
 
 def save_state(state: GaussianState, path) -> None:
@@ -81,82 +95,79 @@ def number_field(key: str, value, integer: bool = False):
     return int(value) if integer else float(value)
 
 
-def number_list(key: str, values) -> list[float]:
-    """A JSON list of number leaves, each checked by :func:`number_field`."""
-    if not isinstance(values, list):
-        raise InvalidStateError(f"{key!r} must be a list of numbers, got {values!r}")
-    return [number_field(f"{key}[{i}]", v) for i, v in enumerate(values)]
-
-
-def reference_params_from_dict(params: dict, key: str) -> ReferenceStateParams:
-    """Reference parameters from the object stored under ``key``."""
-    if not isinstance(params, dict):
-        raise InvalidStateError(f"{key} must be an object")
-    unknown = set(params) - {"n_bar", "d", "beta", "theta", "gamma"}
+def checked(table, value, name: str, owner: str, key: str):
+    """``value`` held to ``table``, its leaves converted by
+    :func:`number_field`.  ``name`` names the walked object and ``owner``
+    the state kind or scheme it sets; a nested object or a leaf is named
+    by its ``key`` below the walked object, "" for the object itself."""
+    if isinstance(table, list):
+        if not isinstance(value, list):
+            raise InvalidStateError(f"{key!r} must be a list of numbers, got {value!r}")
+        return [checked(table[0], v, name, owner, f"{key}[{i}]") for i, v in enumerate(value)]
+    if not isinstance(table, dict):
+        return number_field(key, value, integer=table is int)
+    if not isinstance(value, dict):
+        raise InvalidStateError(f"{key or name} must be an object")
+    unknown = set(value) - set(table)
     if unknown:
-        raise InvalidStateError(f"unknown {key} parameters {sorted(unknown)}")
-    return ReferenceStateParams(
-        **{name: number_field(f"{key}.{name}", v) for name, v in params.items()}
-    )
+        raise InvalidStateError(f"unknown {key + ' ' if key else ''}parameters "
+                                f"{sorted(unknown)} for {owner}")
+    return {k: checked(table[k], v, name, owner, f"{key}.{k}" if key else k)
+            for k, v in value.items()}
 
 
-def _check_params(kind: str, params: dict, allowed: set) -> None:
-    unknown = set(params) - allowed
-    if unknown:
-        raise InvalidStateError(
-            f"unknown parameters {sorted(unknown)} for state kind {kind!r}"
-        )
-
-
-def state_from_spec(spec: dict) -> GaussianState:
-    """Build a physical state from a spec dictionary; unknown keys are
-    rejected.  A constructor's error, or the built state's violation of the
-    uncertainty bound, is re-raised as its own type, prefixed with the kind
-    and the params given."""
+def checked_spec(spec) -> tuple[str, dict]:
+    """The kind of a state spec and its params held to the kind's table,
+    with the required and range checks no table holds; nothing is built."""
     if not isinstance(spec, dict) or set(spec) - {"kind", "params"}:
         raise InvalidStateError("state spec must be {'kind': ..., 'params': {...}}")
     kind = spec.get("kind")
-    params = spec.get("params", {}) or {}
-    if not isinstance(params, dict):
-        raise InvalidStateError("state params must be an object")
     if kind not in STATE_KINDS:
         raise InvalidStateError(f"unknown state kind {kind!r}; expected {STATE_KINDS}")
-
-    def number(key, default=None, integer=False):
-        if default is None and key not in params:
+    params = checked(STATE_PARAMS[kind], spec.get("params") or {}, "state.params",
+                     f"state kind {kind!r}", "")
+    for key in STATE_PARAMS[kind] if kind == "simon" else ():
+        if key not in params:
             raise InvalidStateError(f"state kind {kind!r} needs parameter {key!r}")
-        return number_field(key, params.get(key, default), integer)
+    if params.get("n_modes", 1) < 1:
+        raise InvalidStateError(f"'n_modes' must be at least 1, got {params['n_modes']}")
+    if params.get("n_bars") == []:
+        raise InvalidStateError("'n_bars' must list at least one number")
+    return kind, params
 
-    if kind == "vacuum":
-        _check_params(kind, params, {"n_modes"})
-        n_modes = number("n_modes", 2, integer=True)
-        if n_modes < 1:
-            raise InvalidStateError(f"'n_modes' must be at least 1, got {n_modes}")
-        build = functools.partial(vacuum, n_modes)
-    elif kind == "thermal":
-        _check_params(kind, params, {"n_bar", "n_bars"})
-        bars = (number_list("n_bars", params["n_bars"]) if "n_bars" in params
-                else [number("n_bar", 0.0)])
-        if not bars:
-            raise InvalidStateError("'n_bars' must list at least one number")
-        build = functools.partial(functools.reduce, tensor_product, map(thermal, bars))
-    elif kind == "dst":
-        build = functools.partial(displaced_squeezed_thermal,
-                                  reference_params_from_dict(params, "dst"))
-    elif kind == "tmsv":
-        _check_params(kind, params, {"r"})
-        build = functools.partial(two_mode_squeezed_vacuum, number("r", 0.5))
-    elif kind == "simon":
-        _check_params(kind, params, {"lambda", "mu", "s", "t"})
-        build = functools.partial(simon_form, *(number(key) for key in ("lambda", "mu", "s", "t")))
-    else:
-        _check_params(kind, params, {"seed", "max_squeeze", "max_thermal"})
-        build = functools.partial(random_state, number("seed", 0, integer=True),
-                                  max_squeeze=number("max_squeeze", 1.0),
-                                  max_thermal=number("max_thermal", 2.0))
+
+def spec_label(spec: dict) -> str:
+    """How messages name a spec: its kind and its params as given."""
+    return f"state kind {spec['kind']!r} with params {spec.get('params') or {}}"
+
+
+def mode_count(kind: str, params: dict) -> int:
+    """The number of modes a checked spec builds, read without building it."""
+    return {"vacuum": params.get("n_modes", 2), "thermal": len(params.get("n_bars", [None])),
+            "dst": 1}.get(kind, 2)
+
+
+_BUILDERS = {
+    "vacuum": lambda p: vacuum(p.get("n_modes", 2)),
+    "thermal": lambda p: functools.reduce(
+        tensor_product, map(thermal, p.get("n_bars", [p.get("n_bar", 0.0)]))),
+    "dst": lambda p: displaced_squeezed_thermal(ReferenceStateParams(**p)),
+    "tmsv": lambda p: two_mode_squeezed_vacuum(p.get("r", 0.5)),
+    "simon": lambda p: simon_form(p["lambda"], p["mu"], p["s"], p["t"]),
+    "random": lambda p: random_state(p.get("seed", 0), max_squeeze=p.get("max_squeeze", 1.0),
+                                     max_thermal=p.get("max_thermal", 2.0)),
+}
+
+
+def state_from_spec(spec: dict) -> GaussianState:
+    """Build a physical state from a spec held by :func:`checked_spec`.  A
+    constructor's error, or the built state's violation of the uncertainty
+    bound, is re-raised as its own type, prefixed with the kind and the
+    params given."""
+    kind, params = checked_spec(spec)
     try:
-        state = build()
+        state = _BUILDERS[kind](params)
         require_valid(state)
     except GaussepError as exc:
-        raise type(exc)(f"state kind {kind!r} with params {params}: {exc}") from exc
+        raise type(exc)(f"{spec_label(spec)}: {exc}") from exc
     return state

@@ -34,10 +34,12 @@ to full state tomography).
 Every readout is affine in theta, the 4 means and the 10 raw second
 moments <{x_i, x_j}>/2 of the signal: readouts = design @ theta + offset,
 each design row written from the reference moments behind the readout's
-phase shifters.  A :class:`StokesConfig` defines exactly the 14 readouts
-it solves, with one inverse.  The covariance entries' standard errors are
-exact first-order propagations of the independent readout errors; the
-margin's is :func:`gaussep.core.margin_error` over the readouts.
+phase shifters.  Those are the reference's full raw moments, its sigma
+included, so biased references (sigma_r != 0) are solved as well.  A
+:class:`StokesConfig` defines exactly the 14 readouts it solves, with one
+inverse.  The covariance entries' standard errors are exact first-order
+propagations of the independent readout errors; the margin's is
+:func:`gaussep.core.margin_error` over the readouts.
 
 Each network is a fixed list of readouts, each read at one setting (the
 phases of its shifters); the references and the transforms of every
@@ -74,7 +76,6 @@ from .exceptions import ConditioningError, InvalidStateError
 from .moments import cross_phase, measure, photon_number_difference, product
 from .sampling import MomentEstimate
 from .states import (
-    ReferenceMoments,
     ReferenceStateParams,
     displaced_squeezed_thermal,
     reference_moments,
@@ -85,8 +86,7 @@ from .transforms import _propagated, beam_splitter_50_50, embed, phase_shifter
 DEFAULT_SINGLE_REFERENCE = ReferenceStateParams(n_bar=0.0, d=1.0, beta=0.0, theta=0.2)
 DEFAULT_REFERENCE_C = ReferenceStateParams(n_bar=0.0, d=1.0, beta=0.0, theta=0.2)
 # distinct second moments keep the (q1 q2, p1 p2) system nonsingular, and
-# the pi/2 displacement phase keeps the S1xS1 coefficient nonzero while
-# preserving sigma = 0
+# the pi/2 displacement phase keeps the S1xS1 coefficient nonzero
 DEFAULT_REFERENCE_D = ReferenceStateParams(
     n_bar=0.0, d=1.5, beta=math.pi / 2, theta=0.1
 )
@@ -94,7 +94,6 @@ DEFAULT_REFERENCE_D = ReferenceStateParams(
 SINGLE_MODE_S1_PHASES = (0.0, math.pi / 2)
 SINGLE_MODE_S1SQ_PHASES = (0.0, math.pi / 2, math.pi / 4)
 
-_SIGMA_TOL = 1e-9
 _COND_TOL = 1e-10
 _FALLBACK_TOL = 1e-9
 
@@ -348,16 +347,6 @@ def network_design(network) -> tuple[np.ndarray, np.ndarray]:
     return design, offset
 
 
-def _require_sigma_free(ref: ReferenceMoments, which: str) -> None:
-    if abs(ref.sigma) > _SIGMA_TOL:
-        raise ConditioningError(
-            f"reference {which} must satisfy <qp> = -<pq> = i/2 "
-            f"(symmetrized cross moment sigma = {ref.sigma:.3e}); use unbiased "
-            "parameters or the balanced-bias condition "
-            "d^2 sin(2 beta) = (n_bar + 1/2) sinh(2 theta) sin(gamma)"
-        )
-
-
 def _require_regular(block: np.ndarray, problem: str) -> None:
     """Raise ``problem`` (formatted with the determinant) for a singular block."""
     det = np.linalg.det(block)
@@ -408,7 +397,6 @@ def _config_solver(config: StokesConfig) -> tuple[np.ndarray, np.ndarray]:
     designs = [network_design(net) for net in networks]
     design = np.vstack([d for d, _ in designs])
     offset = np.concatenate([o for _, o in designs])
-    _require_sigma_free(reference_moments(config.ref_single), "r")
     for mode in (0, 1):
         i, j, first = 2 * mode, 2 * mode + 1, 5 * mode
         _require_regular(
@@ -423,8 +411,6 @@ def _config_solver(config: StokesConfig) -> tuple[np.ndarray, np.ndarray]:
             "(<q_r^2> = <p_r^2>) or the phases are degenerate "
             "(det = {det:.3e}); increase theta or d of the reference",
         )
-    _require_sigma_free(reference_moments(config.ref_c), "c")
-    _require_sigma_free(reference_moments(config.ref_d), "d")
     coupling = _readouts(networks[2])[-1][0]
     _require_regular(
         design[10:, [_COL[0, 2], _COL[1, 3], _COL[0, 3], _COL[1, 2]]],

@@ -16,9 +16,9 @@ from gaussep import (
     two_mode_squeezed_vacuum,
     vacuum,
 )
-from gaussep.cli import main, run_experiment, validate_config
+from gaussep.cli import SCHEME_PARAMS, main, run_experiment, validate_config
 from gaussep.exceptions import GaussepError, InvalidStateError
-from gaussep.io import load_state, save_state, state_from_spec
+from gaussep.io import STATE_PARAMS, load_state, save_state, state_from_spec
 from gaussep.sampling import derive_rng
 
 
@@ -612,3 +612,102 @@ class TestSchemeParams:
             )
         )
         assert main(["simulate", "--config", str(cfg)]) == 4
+
+
+def _entries(table, path=()):
+    """(path, entry) of every entry of an input table, nested entries and
+    the item of a list entry included."""
+    for key, entry in table.items():
+        yield (*path, key), entry
+        if isinstance(entry, dict):
+            yield from _entries(entry, (*path, key))
+        elif isinstance(entry, list):
+            yield (*path, key, 0), entry[0]
+
+
+def _params_at(path, value):
+    """``value`` at ``path`` of an otherwise empty params object."""
+    key, *rest = path
+    if not rest:
+        return {key: value}
+    return {key: [value] if rest == [0] else _params_at(rest, value)}
+
+
+def _path_name(path):
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
+
+
+# (object, state kind or scheme, path, entry) of every entry of both tables
+_TABLE_CASES = [
+    (where, owner, path, entry)
+    for where, tables in (("state", STATE_PARAMS), ("scheme_params", SCHEME_PARAMS))
+    for owner, table in tables.items() for path, entry in _entries(table)
+]
+_SIMON = {"lambda": 1.2, "mu": 0.9, "s": 0.5, "t": -0.3}
+
+
+class TestInputTables:
+    def _exit_three(self, tmp_path, capsys, config, named):
+        """simulate and ``sweep --axis shots`` both exit 3 naming ``named``,
+        and sweep writes no CSV."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = ["--output-dir", str(tmp_path)]
+        assert main(["simulate", "--config", str(path), *out]) == 3, config
+        assert named in capsys.readouterr().err, config
+        sweep = ["sweep", "--config", str(path), "--axis", "shots", "--values", "1000", *out]
+        assert main(sweep) == 3, config
+        assert named in capsys.readouterr().err, config
+        assert not (tmp_path / "sweep_shots.csv").exists()
+        assert not (tmp_path / "record.json").exists()
+
+    @pytest.mark.parametrize(
+        "where, owner, path, entry", _TABLE_CASES,
+        ids=[f"{owner}:{_path_name(path)}" for _, owner, path, _ in _TABLE_CASES],
+    )
+    def test_every_leaf_checked_before_anything_runs(self, tmp_path, capsys, where, owner, path,
+                                                     entry):
+        name = _path_name(path)
+        bad = ["x", True, None, float("nan")]
+        if isinstance(entry, dict):
+            # {} is a valid object: every key of a table is optional
+            bad, named = [*bad, [1]], f"{name} must be an object"
+        else:
+            bad, named = [*bad, {}, *([1.0] if isinstance(entry, list) else [])], repr(name)
+        for value in bad:
+            # a config that is valid but for this one entry
+            config = {"state": {"kind": "tmsv", "params": {"r": 0.5}}, "scheme": "analytic",
+                      "shots": 1000, "seed": 0}
+            params = _params_at(path, value)
+            if where == "state":
+                base = _SIMON if owner == "simon" else {}
+                config["state"] = {"kind": owner, "params": {**base, **params}}
+            else:
+                config.update(scheme=owner, scheme_params=params)
+            self._exit_three(tmp_path, capsys, config, named)
+
+    def test_unread_thermal_leaf_checked(self, tmp_path, capsys):
+        # n_bar is not built when n_bars is given, but it is still checked
+        spec = {"kind": "thermal", "params": {"n_bars": [0.5, 1.0], "n_bar": "x"}}
+        config = {"state": spec, "scheme": "analytic", "shots": 1000, "seed": 0}
+        self._exit_three(tmp_path, capsys, config, "'n_bar'")
+
+    @pytest.mark.parametrize(
+        "spec, modes",
+        [
+            ({"kind": "vacuum", "params": {"n_modes": 100000}}, 100000),
+            ({"kind": "thermal", "params": {"n_bars": [0.5, 1.0, 2.0]}}, 3),
+            ({"kind": "dst", "params": {"d": 1.0}}, 1),
+        ],
+        ids=["vacuum", "thermal", "dst"],
+    )
+    def test_mode_count_checked_before_building(self, tmp_path, capsys, monkeypatch, spec,
+                                                modes):
+        def built(*_):
+            raise AssertionError("a state was built")
+
+        for name in ("vacuum", "thermal", "displaced_squeezed_thermal"):
+            monkeypatch.setattr(f"gaussep.io.{name}", built)
+        config = {"state": spec, "scheme": "analytic", "shots": 1000, "seed": 0}
+        self._exit_three(tmp_path, capsys, config,
+                         f"schemes need a two-mode state, got {modes} modes")

@@ -289,11 +289,26 @@ class TestSingleModeSolve:
         with pytest.raises(ConditioningError, match="phase-symmetric"):
             full_pipeline(vacuum(2), StokesConfig(ref_single=ref))
 
-    def test_biased_reference_rejected(self):
-        ref = ReferenceStateParams(d=1.0, beta=0.4, theta=0.3, gamma=0.9)
-        assert abs(reference_moments(ref).sigma) > 1e-3
-        with pytest.raises(ConditioningError, match="balanced-bias"):
-            full_pipeline(vacuum(2), StokesConfig(ref_single=ref))
+    def test_biased_reference_solved_exactly(self):
+        # each design row holds the reference's full raw moments, sigma
+        # included, so biased references need no balanced-bias condition
+        ref = ReferenceStateParams(n_bar=0.3, d=1.2, beta=0.4, theta=0.3, gamma=0.7)
+        ref_d = ReferenceStateParams(n_bar=0.1, d=1.5, beta=1.2, theta=0.1, gamma=2.0)
+        assert reference_moments(ref).sigma == pytest.approx(0.705, abs=1e-3)
+        assert reference_moments(ref_d).sigma == pytest.approx(1.410, abs=1e-3)
+        configs = [StokesConfig(ref_single=ref), StokesConfig(ref_c=ref),
+                   StokesConfig(ref_single=ref, ref_c=ref, ref_d=ref_d)]
+        rng = np.random.default_rng(402)
+        for _ in range(10):
+            state = random_signal_state(rng)
+            for config in configs:
+                for network in config.networks():
+                    direct = [r.value.value for r in propagated_expectations(network, state)]
+                    assert [r.value.value for r in expect_stokes(network, state)] == (
+                        pytest.approx(direct, abs=1e-10))
+                result = full_pipeline(state, config)
+                assert np.max(np.abs(result.gamma_hat - state.cov)) < 1e-10
+                assert np.max(np.abs(result.means_hat - state.means)) < 1e-10
 
 
 class TestCBlockSolve:
